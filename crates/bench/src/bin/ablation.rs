@@ -218,7 +218,7 @@ fn tabular_vs_linear_fa() {
         "  tabular Q-table:   PPW {:>5.2}x  QoS viol. {:>4.1}%  ({} KiB)",
         mean(&tab_ppws),
         mean(&tab_qos) * 100.0,
-        engine.agent().store().memory_bytes() / 1024
+        engine.agent().store().full_bytes() / 1024
     );
     println!(
         "  linear FA agent:   PPW {:>5.2}x  QoS viol. {:>4.1}%  ({} KiB)",

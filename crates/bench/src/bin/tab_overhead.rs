@@ -59,7 +59,11 @@ fn main() {
     }
     let train_us = t.elapsed().as_secs_f64() * 1e6 / N as f64;
 
-    let table_mb = engine.agent().store().memory_bytes() as f64 / (1024.0 * 1024.0);
+    // The table's full footprint, as the paper counts it; a random table
+    // fills its 64-row chunks lazily, so this run only touched some.
+    let store = engine.agent().store();
+    let table_mb = store.full_bytes() as f64 / (1024.0 * 1024.0);
+    let touched_kb = store.memory_bytes() as f64 / 1024.0;
     let dram_gb = sim.host().dram_gb();
 
     println!("Section VI-C overhead analysis (Mi8Pro, MobileNet v3):");
@@ -68,6 +72,10 @@ fn main() {
     println!(
         "  Q-table memory:    {table_mb:>7.2} MB   ({:.3}% of the {dram_gb:.0} GB device DRAM; paper: 0.4 MB)",
         table_mb / (dram_gb * 1024.0) * 100.0
+    );
+    println!(
+        "  materialized by this run: {touched_kb:>5.1} KB   (the {}-row state chunks its decisions read)",
+        autoscale_rl::CHUNK_ROWS
     );
     let min_latency_ms = 5.0; // the fastest on-device inference in the testbed
     println!(

@@ -518,13 +518,15 @@ fn parse_openloop(
             )
         })?,
     };
-    Ok(Some(OpenLoopConfig {
+    let open = OpenLoopConfig {
         arrivals,
         churn,
         horizon_ms,
         queue_capacity: parse_usize(flags, "queue", 32)?,
         admission,
-    }))
+    };
+    open.validate().map_err(|e| e.to_string())?;
+    Ok(Some(open))
 }
 
 fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {

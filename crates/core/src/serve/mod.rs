@@ -50,6 +50,10 @@ use crate::state::StateSpace;
 /// serving hot path aborts nothing and reports which session tripped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
+    /// The configuration could only hang or serve nothing (see
+    /// [`OpenLoopConfig::validate`]) — rejected before any session is
+    /// built.
+    Config(String),
     /// The warm-start agent's Q-table was trained for a different
     /// device — rejected before any session is built.
     WarmStart(ShapeMismatchError),
@@ -72,6 +76,7 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ServeError::Config(reason) => write!(f, "invalid serving configuration: {reason}"),
             ServeError::WarmStart(e) => write!(f, "warm-start agent rejected: {e}"),
             ServeError::NoFeasibleAction { session, source } => {
                 write!(f, "session {session}: {source}")
@@ -89,6 +94,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            ServeError::Config(_) => None,
             ServeError::WarmStart(e) => Some(e),
             ServeError::NoFeasibleAction { source, .. } => Some(source),
             ServeError::Execution { source, .. } => Some(source),
@@ -280,7 +286,10 @@ impl ServeReport {
 }
 
 /// Checks that a warm-start agent's Q-table matches the state and action
-/// spaces of this simulator's host device.
+/// spaces of this simulator's host device, then fills any chunk of its
+/// table not yet filled: the warm start is about to be shared read-only
+/// by every shard, so it must never fill behind a shared reference, and
+/// every dense session's clone of it then holds the full table.
 ///
 /// # Errors
 ///
@@ -297,6 +306,7 @@ pub fn validate_warm_start(
             found: (agent.store().states(), agent.store().actions()),
         });
     }
+    agent.store().materialize();
     Ok(())
 }
 
@@ -326,16 +336,21 @@ pub fn session_specs(mix: &ScenarioMix, config: &ServeConfig) -> Vec<SessionSpec
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::WarmStart`] if `warm_start` was trained for a
-/// different device — checked once, before any session is built. The
-/// per-session variants propagate decision or execution failures from a
-/// session without aborting the process.
+/// Returns [`ServeError::Config`] if `config`'s open-loop traffic fails
+/// [`OpenLoopConfig::validate`], and [`ServeError::WarmStart`] if
+/// `warm_start` was trained for a different device — both checked once,
+/// before any session is built. The per-session variants propagate
+/// decision or execution failures from a session without aborting the
+/// process.
 pub fn serve(
     sim: &Simulator,
     mix: &ScenarioMix,
     config: &ServeConfig,
     warm_start: Option<&QLearningAgent>,
 ) -> Result<ServeReport, ServeError> {
+    if let Some(open) = &config.openloop {
+        open.validate()?;
+    }
     if let Some(agent) = warm_start {
         validate_warm_start(sim, agent)?;
     }
@@ -762,13 +777,16 @@ mod tests {
         assert_eq!(dense.store.qstore, QStoreKind::Dense);
         assert_eq!(dense.store.shared_bytes, 0);
         assert_eq!(dense.store.overlay_rows, 0);
+        // `serve` fills the warm start in full before sharing it, so every
+        // dense session clones the whole table, and the cow base is that
+        // same full footprint.
+        let full = warm.store().full_bytes() as u64;
+        assert_eq!(dense.store.private_bytes, full * 6);
+        assert_eq!(dense.store.max_session_private_bytes, full);
+        assert_eq!(cow.store.shared_bytes, full);
         // Each session wrote rows, and the overlays stay tiny next to the
         // full table every dense session carries privately.
         assert!(cow.store.overlay_rows > 0, "sessions wrote overlay rows");
-        assert_eq!(
-            cow.store.shared_bytes,
-            dense.store.max_session_private_bytes
-        );
         assert!(
             cow.store.private_bytes * 10 < dense.store.private_bytes,
             "cow private {} vs dense private {}",
@@ -780,6 +798,51 @@ mod tests {
                 < dense.store.bytes_per_session(dense.sessions.len()),
             "sharing the base must already pay off at 6 sessions"
         );
+    }
+
+    #[test]
+    fn configs_that_can_only_hang_or_serve_nothing_are_rejected() {
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let mix = ScenarioMix::static_envs();
+        let with = |rate_hz: f64, horizon_ms: f64| ServeConfig {
+            openloop: Some(OpenLoopConfig::poisson(rate_hz, horizon_ms)),
+            ..small_config(Some(1))
+        };
+        for (rate, horizon) in [
+            (f64::NAN, 100.0),
+            (f64::INFINITY, 100.0),
+            (f64::NEG_INFINITY, 100.0),
+            (-3.0, 100.0),
+            (10.0, f64::NAN),
+            (10.0, f64::INFINITY),
+            (10.0, 0.0),
+            (10.0, -5.0),
+        ] {
+            let err = serve(&sim, &mix, &with(rate, horizon), None).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Config(_)),
+                "rate {rate}, horizon {horizon}: {err}"
+            );
+        }
+        // Rate zero is the documented silent process, not an error.
+        assert!(serve(&sim, &mix, &with(0.0, 100.0), None).is_ok());
+    }
+
+    #[test]
+    fn cold_dense_sessions_hold_only_the_chunk_they_read() {
+        // A cold session draws its random table lazily and reads only its
+        // network's 64-row state block: each holds exactly one chunk.
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let mix = ScenarioMix::static_envs();
+        let report = serve(&sim, &mix, &small_config(Some(2)), None).unwrap();
+        let one_chunk = QTable::new_zeroed(
+            autoscale_rl::CHUNK_ROWS,
+            ActionSpace::for_simulator(&sim).len(),
+        )
+        .memory_bytes() as u64;
+        assert_eq!(report.store.private_bytes, one_chunk * 6);
+        assert_eq!(report.store.max_session_private_bytes, one_chunk);
+        assert_eq!(report.store.shared_bytes, 0);
     }
 
     #[test]

@@ -146,6 +146,31 @@ impl OpenLoopConfig {
     pub fn capacity(&self) -> usize {
         self.queue_capacity.max(1)
     }
+
+    /// Rejects settings that can only hang or silently serve nothing: a
+    /// NaN, infinite or negative `rate_hz`, and a NaN, infinite or
+    /// non-positive `horizon_ms`. A rate of exactly zero stays valid —
+    /// the documented silent process, which serves an empty but valid
+    /// fleet.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] naming the offending setting.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        let rate = self.arrivals.rate_hz;
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(ServeError::Config(format!(
+                "arrival rate must be a finite, non-negative number of requests per second, got {rate}"
+            )));
+        }
+        let horizon = self.horizon_ms;
+        if !(horizon.is_finite() && horizon > 0.0) {
+            return Err(ServeError::Config(format!(
+                "horizon must be a finite, positive number of milliseconds, got {horizon}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Per-session open-loop traffic accounting, returned *beside* the

@@ -704,14 +704,36 @@ mod tests {
         assert_eq!(cow_stats.kind, QStoreKind::Cow);
         assert!(cow_stats.overlay_rows > 0, "learning materialized rows");
         assert_eq!(
-            cow_stats.shared_bytes, dense_stats.private_bytes,
-            "the shared base costs exactly one dense table"
+            cow_stats.shared_bytes as usize,
+            base.full_bytes(),
+            "the shared base costs exactly one fully filled table"
+        );
+        // The warm table was never touched before the session cloned it,
+        // so the dense session filled only its network's chunk.
+        assert_eq!(
+            dense_stats.private_bytes as usize * (states / autoscale_rl::CHUNK_ROWS),
+            base.full_bytes(),
+            "a dense session holds exactly the one chunk it read"
         );
         assert!(
-            cow_stats.private_bytes * 10 < dense_stats.private_bytes,
-            "overlay ({} B) must undercut dense ({} B) by >10x",
+            cow_stats.private_bytes < dense_stats.private_bytes,
+            "overlay ({} B) must undercut the dense chunk ({} B)",
             cow_stats.private_bytes,
             dense_stats.private_bytes
+        );
+    }
+
+    #[test]
+    fn a_cold_session_fills_one_chunk_of_its_table() {
+        use autoscale_rl::{QStoreKind, QTable, CHUNK_ROWS};
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let actions = crate::action::ActionSpace::for_simulator(&sim).len();
+        let (_, _, stats) = session(&sim, 40, 3).run(false).expect("session runs");
+        assert_eq!(stats.kind, QStoreKind::Dense);
+        assert_eq!(
+            stats.private_bytes as usize,
+            QTable::new_zeroed(CHUNK_ROWS, actions).memory_bytes(),
+            "40 decisions on one network fill exactly one 64-row chunk"
         );
     }
 

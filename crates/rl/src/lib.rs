@@ -64,4 +64,4 @@ pub use policy::EpsilonGreedy;
 pub use qstore::{
     CowQTable, OverlayDelta, OverlayError, OverlaySnapshot, QStore, QStoreKind, QStoreStats,
 };
-pub use qtable::QTable;
+pub use qtable::{QTable, CHUNK_ROWS};

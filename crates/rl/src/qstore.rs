@@ -131,12 +131,15 @@ pub struct CowQTable {
 }
 
 impl CowQTable {
-    /// Creates an empty overlay over a shared base table.
+    /// Creates an empty overlay over a shared base table, filling any
+    /// base chunk not yet filled: a base is shared read-only, so it must
+    /// never fill behind the `Arc`.
     pub fn new(base: Arc<QTable>) -> Self {
         assert!(
             base.states() < u32::MAX as usize && base.actions() < u32::MAX as usize,
             "base table dimensions exceed the overlay's u32 index range"
         );
+        base.materialize();
         let stride = base.stride();
         CowQTable {
             base,
@@ -270,6 +273,7 @@ impl CowQTable {
     /// The lanes a read of `state` resolves to: the materialized overlay
     /// row, or the shared base row.
     pub(crate) fn row_lines(&self, state: usize) -> &[QLane] {
+        // lint:draws-exempt(the base was filled in full by `new`, so reading it never runs the lazy chunk fill counted here)
         match self.find(state) {
             Some(row) => &self.lanes[row * self.stride..(row + 1) * self.stride],
             None => self.base.row_lines(state),
@@ -279,6 +283,7 @@ impl CowQTable {
     /// The cached lowest-index maximizer of one row (overlay or base).
     pub(crate) fn row_max_entry(&self, state: usize) -> RowMax {
         assert!(state < self.states(), "state out of range");
+        // lint:draws-exempt(the base was filled in full by `new`, so reading it never runs the lazy chunk fill counted here)
         match self.find(state) {
             Some(row) => self.maxes[row],
             None => self.base.row_max_entry(state),
@@ -331,6 +336,7 @@ impl CowQTable {
             "mask length must equal action count"
         );
         assert!(state < self.states(), "state out of range");
+        // lint:draws-exempt(the base was filled in full by `new`, so reading it never runs the lazy chunk fill counted here)
         match self.find(state) {
             Some(row) => {
                 let lanes = &self.lanes[row * self.stride..(row + 1) * self.stride];
@@ -626,21 +632,40 @@ impl QStore {
         self.best_action(state, mask).map_or(0.0, |(_, v)| v)
     }
 
-    /// Bytes this store owns privately (shared base excluded).
+    /// Bytes this store owns privately (shared base excluded): a dense
+    /// table's filled chunks, or the overlay.
     pub fn memory_bytes(&self) -> usize {
         match self {
-            QStore::Dense(q) => q.memory_bytes() + q.states() * std::mem::size_of::<RowMax>(),
+            QStore::Dense(q) => q.memory_bytes(),
             QStore::Cow(c) => c.private_bytes(),
         }
     }
 
-    /// Bytes of the shared base (zero for a dense store).
+    /// Bytes of the shared base (zero for a dense store). A base is
+    /// always filled in full, so this is its [`QTable::full_bytes`].
     pub fn shared_bytes(&self) -> usize {
         match self {
             QStore::Dense(_) => 0,
-            QStore::Cow(c) => {
-                c.base().memory_bytes() + c.base().states() * std::mem::size_of::<RowMax>()
-            }
+            QStore::Cow(c) => c.base().memory_bytes(),
+        }
+    }
+
+    /// Bytes of the full logical table as one dense table with every
+    /// chunk filled — the Section VI-C footprint, however much of it has
+    /// been touched so far.
+    pub fn full_bytes(&self) -> usize {
+        match self {
+            QStore::Dense(q) => q.full_bytes(),
+            QStore::Cow(c) => c.base().full_bytes(),
+        }
+    }
+
+    /// Fills every chunk of a dense table not yet filled (a cow store's
+    /// base is always full), so the store can be shared across threads
+    /// without ever changing behind a shared reference.
+    pub fn materialize(&self) {
+        if let QStore::Dense(q) = self {
+            q.materialize();
         }
     }
 
@@ -654,11 +679,15 @@ impl QStore {
         }
     }
 
-    /// The full logical table, materialized dense — the dense↔cow
-    /// conversion path.
+    /// The full logical table, materialized dense with every chunk
+    /// filled — the dense↔cow conversion path.
     pub fn to_table(&self) -> QTable {
         match self {
-            QStore::Dense(q) => q.clone(),
+            QStore::Dense(q) => {
+                let table = q.clone();
+                table.materialize();
+                table
+            }
             QStore::Cow(c) => c.to_table(),
         }
     }
@@ -1031,8 +1060,11 @@ mod tests {
     #[test]
     fn stats_account_for_sharing() {
         let b = base(3_072, 66, 0);
+        // Building the overlay fills the base in full, so the dense clone
+        // taken after it holds every chunk too.
+        let mut cow = QStore::cow(b.clone());
         let dense = QStore::Dense((*b).clone());
-        let mut cow = QStore::cow(b);
+        assert_eq!(dense.memory_bytes(), b.full_bytes());
         let dense_stats = dense.stats();
         assert_eq!(dense_stats.kind, QStoreKind::Dense);
         assert_eq!(dense_stats.shared_bytes, 0);

@@ -27,9 +27,31 @@
 //! eight actions, so a row always starts on a 64-byte cache-line boundary
 //! and a lane never straddles two lines. The padding slots hold `0.0` and
 //! are never read through the logical API; the packed decision kernel
-//! ([`crate::kernel`]) skips them via zero mask bits. For the paper-scale
-//! table (3,072 × 66 → stride 72) this costs 9% padding: 1.69 MB instead
-//! of 1.55 MB, still the same order of magnitude as Section VI-C.
+//! ([`crate::kernel`]) skips them via zero mask bits.
+//!
+//! Rows are grouped into chunks of [`CHUNK_ROWS`] = 64, each a
+//! `OnceLock` holding the chunk's lanes and argmax cache entries. A
+//! [`QTable::new_random`] table fills a chunk the first time any of its
+//! rows is read or written: it jumps a generator seeded with the table's
+//! seed to the chunk's first draw (`StdRng::advance`) and runs the same
+//! state-major fill the table always had, so the values are bit-identical
+//! to an eager fill. Serving sessions read one network's 64-state block
+//! (the paper state space's runtime features span exactly 64 states), so
+//! a cold session fills one chunk instead of 48. Every other constructor
+//! (`new_zeroed`, deserialization, [`crate::QStore::to_table`]) fills
+//! all chunks up front, and a table
+//! that is shared — a copy-on-write base, a fleet's warm start — is
+//! filled in full before it is shared, so it never changes behind a
+//! shared reference.
+//!
+//! [`QTable::memory_bytes`] counts the chunks filled so far (lanes plus
+//! argmax cache). [`QTable::full_bytes`] is the footprint with every
+//! chunk filled: for the paper-scale table (3,072 × 66 → stride 72) that
+//! is 1.73 MB — 9% lane padding over the 1.55 MB of raw values, plus
+//! 48 KB of argmax cache — still the same order of magnitude as
+//! Section VI-C. One chunk is 37 KB.
+
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -136,6 +158,21 @@ pub(crate) fn best_allowed(
     best
 }
 
+/// Rows per storage chunk, the unit a table fills lazily: one
+/// network's runtime state block in the paper's state space.
+pub const CHUNK_ROWS: usize = 64;
+
+/// One filled storage chunk: up to [`CHUNK_ROWS`] consecutive rows and
+/// their argmax cache entries.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Row-major lanes, `rows * stride` long.
+    lines: Vec<QLane>,
+    /// Per-row lowest-index argmax, kept consistent with `lines` by
+    /// every write.
+    row_max: Vec<RowMax>,
+}
+
 /// A dense table of Q(S, A) values.
 #[derive(Debug, Clone)]
 pub struct QTable {
@@ -143,26 +180,35 @@ pub struct QTable {
     actions: usize,
     /// Lanes per row: `actions` rounded up to a multiple of [`LANES`].
     stride: usize,
-    /// Row-major lane storage, `states * stride` lanes long. Padding
-    /// slots past `actions` in each row stay `0.0` forever.
-    lines: Vec<QLane>,
-    /// Per-state lowest-index argmax, kept consistent with `lines` by
-    /// every write. Derived data: excluded from equality and serde.
-    row_max: Vec<RowMax>,
+    /// The seed a [`QTable::new_random`] table fills its chunks from on
+    /// first touch. Other constructors fill every chunk up front, so
+    /// nothing ever draws from theirs.
+    seed: u64,
+    /// `states.div_ceil(CHUNK_ROWS)` chunks, each filled at most once.
+    // lint:allow(shared-mutable-hot-state): a chunk is filled once, from the table's own seed, to the same values whichever call fills it; a table is owned by one session, and tables shared across shards are filled in full before sharing
+    chunks: Vec<OnceLock<Chunk>>,
 }
 
 impl PartialEq for QTable {
     fn eq(&self, other: &Self) -> bool {
-        // `row_max` is derived from the values; comparing it would only
-        // re-compare the same information. Padding lanes are `0.0` on
-        // both sides, so comparing lines compares the logical values.
-        self.states == other.states && self.actions == other.actions && self.lines == other.lines
+        // The argmax caches are derived from the values; comparing them
+        // would only re-compare the same information. Padding lanes are
+        // `0.0` on both sides, so comparing lines compares the logical
+        // values.
+        self.states == other.states
+            && self.actions == other.actions
+            && (0..self.chunks.len()).all(|c| self.chunk(c).lines == other.chunk(c).lines)
     }
 }
 
 impl QTable {
     /// Creates a table initialized with small random values, as Algorithm 1
     /// of the paper prescribes ("Initialize Q(S,A) as random values").
+    ///
+    /// The values are drawn lazily: each chunk of [`CHUNK_ROWS`] rows is
+    /// filled the first time any of its rows is read or written, with
+    /// exactly the draws an eager state-major fill would have given it.
+    /// Construction itself costs no draws.
     ///
     /// # Panics
     ///
@@ -172,37 +218,15 @@ impl QTable {
             states > 0 && actions > 0,
             "Q-table dimensions must be non-zero"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let stride = actions.div_ceil(LANES);
-        let mut lines = vec![QLane([0.0; LANES]); states * stride];
-        let mut row_max = Vec::with_capacity(states);
-        // Fill and compute each row's argmax in one pass, in the same
-        // draw order (state-major, action-minor) as every prior release:
-        // the streams feeding sessions are a compatibility surface.
-        for s in 0..states {
-            let base = s * stride;
-            let mut best = RowMax {
-                action: 0,
-                value: 0.0,
-            };
-            for a in 0..actions {
-                let v = rng.gen_range(-0.01..0.01);
-                lines[base + a / LANES].0[a % LANES] = v;
-                if a == 0 || v > best.value {
-                    best = RowMax {
-                        action: a as u32,
-                        value: v,
-                    };
-                }
-            }
-            row_max.push(best);
-        }
         QTable {
             states,
             actions,
-            stride,
-            lines,
-            row_max,
+            stride: actions.div_ceil(LANES),
+            seed,
+            // lint:allow(shared-mutable-hot-state): empty per-table chunk cells, see the `chunks` field
+            chunks: (0..states.div_ceil(CHUNK_ROWS))
+                .map(|_| OnceLock::new())
+                .collect(),
         }
     }
 
@@ -216,24 +240,94 @@ impl QTable {
     }
 
     /// Builds a table around existing row-major logical values, packing
-    /// them into aligned lanes and computing the argmax cache.
+    /// them into aligned lanes and computing the argmax cache. Every
+    /// chunk is filled up front.
     pub(crate) fn from_values(states: usize, actions: usize, values: &[f64]) -> Self {
         debug_assert_eq!(values.len(), states * actions);
         let stride = actions.div_ceil(LANES);
-        let mut lines = vec![QLane([0.0; LANES]); states * stride];
-        for (i, &v) in values.iter().enumerate() {
-            let (s, a) = (i / actions, i % actions);
-            lines[s * stride + a / LANES].0[a % LANES] = v;
-        }
-        let mut table = QTable {
+        let chunks = values
+            .chunks(CHUNK_ROWS * actions)
+            .map(|block| {
+                let rows = block.len() / actions;
+                let mut lines = vec![QLane([0.0; LANES]); rows * stride];
+                for (i, &v) in block.iter().enumerate() {
+                    let (r, a) = (i / actions, i % actions);
+                    lines[r * stride + a / LANES].0[a % LANES] = v;
+                }
+                let row_max = lines
+                    .chunks(stride)
+                    .map(|row| scan_lanes(row, actions))
+                    .collect();
+                // lint:allow(shared-mutable-hot-state): a chunk filled at construction, never re-filled
+                OnceLock::from(Chunk { lines, row_max })
+            })
+            .collect();
+        QTable {
             states,
             actions,
             stride,
-            lines,
-            row_max: Vec::new(),
-        };
-        table.row_max = (0..states).map(|s| table.scan_row(s)).collect();
-        table
+            seed: 0,
+            chunks,
+        }
+    }
+
+    /// Draws chunk `c` of a random table: the generator jumps to the
+    /// chunk's first draw, then fills its rows in the same order
+    /// (state-major, action-minor, one `gen_range` per cell) as every
+    /// prior release's eager fill — the streams feeding sessions are a
+    /// compatibility surface.
+    fn draw_chunk(&self, c: usize) -> Chunk {
+        let first = c * CHUNK_ROWS;
+        let rows = CHUNK_ROWS.min(self.states - first);
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        // lint:hot-exempt(jump-ahead in the vendored generator: allocation-free once the process-wide matrix powers are built)
+        rng.advance((first * self.actions) as u64);
+        // lint:hot-exempt(lazy fill: each chunk is allocated at most once per table)
+        let mut lines = vec![QLane([0.0; LANES]); rows * self.stride];
+        // lint:hot-exempt(lazy fill: each chunk is allocated at most once per table)
+        let mut row_max = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let base = r * self.stride;
+            let mut best = RowMax {
+                action: 0,
+                value: 0.0,
+            };
+            for a in 0..self.actions {
+                let v = rng.gen_range(-0.01..0.01);
+                lines[base + a / LANES].0[a % LANES] = v;
+                if a == 0 || v > best.value {
+                    best = RowMax {
+                        action: a as u32,
+                        value: v,
+                    };
+                }
+            }
+            // lint:hot-exempt(lazy fill: pushes into the capacity reserved above)
+            row_max.push(best);
+        }
+        Chunk { lines, row_max }
+    }
+
+    /// Chunk `c`, filled on first touch.
+    fn chunk(&self, c: usize) -> &Chunk {
+        // lint:hot-exempt(std OnceLock: one load once filled; the fill allocates once per chunk)
+        self.chunks[c].get_or_init(|| self.draw_chunk(c))
+    }
+
+    /// Chunk `c` for writing, filled on first touch.
+    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
+        self.chunk(c);
+        // lint:allow(panic-in-lib): `chunk` just filled the cell, and `&mut self` rules out anyone emptying it since
+        self.chunks[c].get_mut().expect("filled just above")
+    }
+
+    /// Fills every chunk not yet filled. Afterwards the table never
+    /// changes behind a shared reference, so it can be shared across
+    /// threads with a memory footprint independent of their timing.
+    pub fn materialize(&self) {
+        for c in 0..self.chunks.len() {
+            self.chunk(c);
+        }
     }
 
     /// The logical values of one row, in action order (padding excluded).
@@ -244,7 +338,8 @@ impl QTable {
     /// The aligned storage lanes of one row, padding included. The slots
     /// past `actions` in the final lane are always `0.0`.
     pub(crate) fn row_lines(&self, state: usize) -> &[QLane] {
-        &self.lines[state * self.stride..(state + 1) * self.stride]
+        let r = state % CHUNK_ROWS;
+        &self.chunk(state / CHUNK_ROWS).lines[r * self.stride..(r + 1) * self.stride]
     }
 
     /// Lanes per row: `actions` rounded up to a multiple of [`LANES`].
@@ -259,21 +354,19 @@ impl QTable {
     /// Panics if `state` is out of range.
     pub(crate) fn row_max_entry(&self, state: usize) -> RowMax {
         assert!(state < self.states, "state out of range");
-        self.row_max[state]
+        self.chunk(state / CHUNK_ROWS).row_max[state % CHUNK_ROWS]
     }
 
-    /// Brute-force lowest-index maximizer of a row.
-    fn scan_row(&self, state: usize) -> RowMax {
-        scan_lanes(self.row_lines(state), self.actions)
-    }
-
-    /// Restores the cache invariant after `values[state, action] = value`.
-    ///
-    /// O(1) unless the write lowered the current row maximum, which forces
-    /// an O(actions) rescan of that row.
-    fn note_write(&mut self, state: usize, action: usize, value: f64) {
-        let lanes = &self.lines[state * self.stride..(state + 1) * self.stride];
-        note_row_write(&mut self.row_max[state], lanes, self.actions, action, value);
+    /// Stores `values[state, action] = value` and restores the row's
+    /// cache invariant — O(1) unless the write lowered the current row
+    /// maximum, which forces an O(actions) rescan of that row.
+    fn write(&mut self, state: usize, action: usize, value: f64) {
+        let (stride, actions) = (self.stride, self.actions);
+        let r = state % CHUNK_ROWS;
+        let chunk = self.chunk_mut(state / CHUNK_ROWS);
+        let lanes = &mut chunk.lines[r * stride..(r + 1) * stride];
+        lanes[action / LANES].0[action % LANES] = value;
+        note_row_write(&mut chunk.row_max[r], lanes, actions, action, value);
     }
 
     /// Number of states.
@@ -292,8 +385,8 @@ impl QTable {
     ///
     /// Panics if the indices are out of range.
     pub fn get(&self, state: usize, action: usize) -> f64 {
-        let (line, lane) = self.index(state, action);
-        self.lines[line].0[lane]
+        self.check_index(state, action);
+        self.row_lines(state)[action / LANES].0[action % LANES]
     }
 
     /// Sets Q(S, A).
@@ -302,17 +395,14 @@ impl QTable {
     ///
     /// Panics if the indices are out of range.
     pub fn set(&mut self, state: usize, action: usize, value: f64) {
-        let (line, lane) = self.index(state, action);
-        self.lines[line].0[lane] = value;
-        self.note_write(state, action, value);
+        self.check_index(state, action);
+        self.write(state, action, value);
     }
 
     /// Adds `delta` to Q(S, A) — the Algorithm 1 update's in-place form.
     pub fn add(&mut self, state: usize, action: usize, delta: f64) {
-        let (line, lane) = self.index(state, action);
-        self.lines[line].0[lane] += delta;
-        let value = self.lines[line].0[lane];
-        self.note_write(state, action, value);
+        let value = self.get(state, action) + delta;
+        self.write(state, action, value);
     }
 
     /// The action with the largest Q value among those `mask` allows, and
@@ -338,10 +428,12 @@ impl QTable {
             "mask length must equal action count"
         );
         assert!(state < self.states, "state out of range");
+        let r = state % CHUNK_ROWS;
+        let chunk = self.chunk(state / CHUNK_ROWS);
         best_allowed(
-            self.row_lines(state),
+            &chunk.lines[r * self.stride..(r + 1) * self.stride],
             self.actions,
-            self.row_max[state],
+            chunk.row_max[r],
             mask,
         )
     }
@@ -352,10 +444,25 @@ impl QTable {
         self.best_action(state, mask).map_or(0.0, |(_, v)| v)
     }
 
-    /// Memory footprint of the table's value storage in bytes, padding
-    /// included — the Section VI-C overhead statistic.
+    /// Bytes of the chunks filled so far: lanes (padding included) plus
+    /// argmax cache entries. A random table that has served one network
+    /// holds one chunk; see [`QTable::full_bytes`] for the whole table.
     pub fn memory_bytes(&self) -> usize {
-        self.lines.len() * std::mem::size_of::<QLane>()
+        self.chunks
+            .iter()
+            // lint:allow(shared-mutable-hot-state): reads which per-table chunk cells are filled, see the `chunks` field
+            .filter_map(OnceLock::get)
+            .map(|c| {
+                c.lines.len() * std::mem::size_of::<QLane>()
+                    + c.row_max.len() * std::mem::size_of::<RowMax>()
+            })
+            .sum()
+    }
+
+    /// Bytes of the table with every chunk filled — the Section VI-C
+    /// overhead statistic, whatever has been touched so far.
+    pub fn full_bytes(&self) -> usize {
+        self.states * (self.stride * std::mem::size_of::<QLane>() + std::mem::size_of::<RowMax>())
     }
 
     /// FNV-1a digest over the logical values' IEEE 754 bits, state-major
@@ -397,12 +504,14 @@ impl QTable {
                 found: (source.states, source.actions),
             });
         }
-        self.lines.copy_from_slice(&source.lines);
-        self.row_max.copy_from_slice(&source.row_max);
+        // Unfilled chunks of a random source carry over unfilled, with
+        // the seed that fills them.
+        self.seed = source.seed;
+        self.chunks.clone_from(&source.chunks);
         Ok(())
     }
 
-    fn index(&self, state: usize, action: usize) -> (usize, usize) {
+    fn check_index(&self, state: usize, action: usize) {
         assert!(
             state < self.states,
             "state {state} out of range ({})",
@@ -413,7 +522,6 @@ impl QTable {
             "action {action} out of range ({})",
             self.actions
         );
-        (state * self.stride + action / LANES, action % LANES)
     }
 }
 
@@ -590,9 +698,9 @@ mod tests {
     #[test]
     fn paper_scale_table_fits_the_memory_budget() {
         // ~3,072 states × 66 actions: Section VI-C reports 0.4 MB. An f64
-        // table padded to lane stride 72 lands at 1.69 MB; the paper
-        // presumably stores narrower values, so we assert the same order
-        // of magnitude.
+        // table padded to lane stride 72, with its argmax cache, lands at
+        // 1.73 MB; the paper presumably stores narrower values, so we
+        // assert the same order of magnitude.
         let q = QTable::new_zeroed(3_072, 66);
         let mb = q.memory_bytes() as f64 / (1024.0 * 1024.0);
         assert!(mb < 2.0, "table too large: {mb} MB");

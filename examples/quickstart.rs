@@ -22,7 +22,7 @@ fn main() {
         "engine: {} states x {} actions ({} KiB Q-table)",
         engine.states().len(),
         engine.actions().len(),
-        engine.agent().store().memory_bytes() / 1024
+        engine.agent().store().full_bytes() / 1024
     );
 
     // 3. Train: run inference after inference in the calm environment,
