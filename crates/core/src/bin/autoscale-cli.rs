@@ -591,8 +591,12 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {
         ..ServeConfig::fleet()
     };
     let start = Instant::now();
-    let report = serve(&sim, &mix, &config, warm.as_ref())
-        .map_err(|e| format!("{e} — was the Q-table trained on a different device or testbed?"))?;
+    let report = serve(&sim, &mix, &config, warm.as_ref()).map_err(|e| match e {
+        autoscale::serve::ServeError::WarmStart(_) => {
+            format!("{e} — was the Q-table trained on a different device or testbed?")
+        }
+        _ => e.to_string(),
+    })?;
     let wall_s = start.elapsed().as_secs_f64();
     if flags.contains_key("json") {
         println!(

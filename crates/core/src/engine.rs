@@ -868,14 +868,59 @@ mod tests {
 
     #[test]
     fn precomputed_masks_match_the_action_space() {
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let engine = AutoScaleEngine::new(&sim, EngineConfig::paper());
-        for w in Workload::ALL {
-            assert_eq!(
-                engine.mask_for(w),
-                engine.actions().mask(&sim, w).as_slice(),
-                "{w}"
-            );
+        use autoscale_nn::{LayerKind, Network, Precision};
+        use autoscale_platform::{Device, ProcessorKind};
+        use autoscale_sim::{Placement, Request};
+
+        let mut testbeds: Vec<Simulator> = DeviceId::PHONES.map(Simulator::new).into();
+        testbeds.push(Simulator::with_devices(
+            Device::mi8pro_npu(),
+            Device::galaxy_tab_s6(),
+            Device::cloud_server_tpu(),
+        ));
+        // Every placement at every precision, so the oracle also sees
+        // processors a device lacks (the action space never lists them).
+        let sites = [
+            Placement::OnDevice as fn(ProcessorKind) -> Placement,
+            Placement::ConnectedEdge,
+            Placement::Cloud,
+        ];
+        let probes: Vec<Request> = sites
+            .iter()
+            .flat_map(|site| ProcessorKind::ALL.map(site))
+            .flat_map(|placement| {
+                Precision::ALL.map(|precision| Request {
+                    placement,
+                    precision,
+                    freq_index: 0,
+                })
+            })
+            .collect();
+        for sim in &testbeds {
+            let engine = AutoScaleEngine::new(sim, EngineConfig::paper());
+            for w in Workload::ALL {
+                // The simulator's per-workload facts sit at the right index.
+                assert_eq!(sim.network(w), &Network::workload(w), "{w}");
+                // Feasibility straight from the device and layer data.
+                let recurrent = sim
+                    .network(w)
+                    .layers()
+                    .iter()
+                    .any(|layer| layer.kind == LayerKind::Rc);
+                let oracle = |r: &Request| {
+                    sim.device_for(r.placement)
+                        .processor(r.placement.processor_kind())
+                        .is_some_and(|p| {
+                            p.supports_precision(r.precision) && (!recurrent || p.runs_recurrent())
+                        })
+                };
+                for r in engine.actions().actions().iter().chain(&probes) {
+                    assert_eq!(sim.is_feasible(w, r), oracle(r), "{w} {r:?}");
+                }
+                let expected: Vec<bool> = engine.actions().actions().iter().map(oracle).collect();
+                assert_eq!(engine.mask_for(w), expected.as_slice(), "{w}");
+                assert_eq!(engine.actions().mask(sim, w), expected, "{w}");
+            }
         }
     }
 

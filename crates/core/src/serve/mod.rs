@@ -28,7 +28,9 @@ mod session;
 mod timing;
 
 pub use mix::ScenarioMix;
-pub use openloop::{AdmissionPolicy, FleetTraffic, OpenLoopConfig, SessionTraffic};
+pub use openloop::{
+    AdmissionPolicy, FleetTraffic, OpenLoopConfig, SessionTraffic, MAX_EXPECTED_ARRIVALS,
+};
 pub use session::{DeviceSession, SessionReport, SessionSpec};
 
 use std::sync::Arc;
@@ -337,7 +339,8 @@ pub fn session_specs(mix: &ScenarioMix, config: &ServeConfig) -> Vec<SessionSpec
 /// # Errors
 ///
 /// Returns [`ServeError::Config`] if `config`'s open-loop traffic fails
-/// [`OpenLoopConfig::validate`], and [`ServeError::WarmStart`] if
+/// [`OpenLoopConfig::validate`] or expects more than
+/// [`MAX_EXPECTED_ARRIVALS`] arrivals, and [`ServeError::WarmStart`] if
 /// `warm_start` was trained for a different device — both checked once,
 /// before any session is built. The per-session variants propagate
 /// decision or execution failures from a session without aborting the
@@ -350,6 +353,7 @@ pub fn serve(
 ) -> Result<ServeReport, ServeError> {
     if let Some(open) = &config.openloop {
         open.validate()?;
+        open.check_event_budget(config.sessions)?;
     }
     if let Some(agent) = warm_start {
         validate_warm_start(sim, agent)?;
@@ -817,6 +821,10 @@ mod tests {
             (10.0, f64::INFINITY),
             (10.0, 0.0),
             (10.0, -5.0),
+            // Finite, but beyond the event budget: either would run
+            // for hours or forever.
+            (1e300, 100.0),
+            (1e9, 2_000.0),
         ] {
             let err = serve(&sim, &mix, &with(rate, horizon), None).unwrap_err();
             assert!(
@@ -826,6 +834,31 @@ mod tests {
         }
         // Rate zero is the documented silent process, not an error.
         assert!(serve(&sim, &mix, &with(0.0, 100.0), None).is_ok());
+    }
+
+    #[test]
+    fn the_event_budget_bounds_the_mean_rate() {
+        // The largest open-loop benchmark fleet (900 sessions at a 40 Hz
+        // diurnal mean over 30 s) stays far inside the budget.
+        let diurnal = OpenLoopConfig {
+            arrivals: autoscale_sim::ArrivalProcess::diurnal(40.0),
+            ..OpenLoopConfig::poisson(40.0, 30_000.0)
+        };
+        assert!(diurnal.check_event_budget(900).is_ok());
+        // Bursts raise the mean rate: a rate whose plain Poisson fleet
+        // fits is rejected once bursts can multiply it.
+        let rate = MAX_EXPECTED_ARRIVALS / 2.0;
+        assert!(OpenLoopConfig::poisson(rate, 1_000.0)
+            .check_event_budget(1)
+            .is_ok());
+        let bursty = OpenLoopConfig {
+            arrivals: autoscale_sim::ArrivalProcess::bursty(rate),
+            ..OpenLoopConfig::poisson(rate, 1_000.0)
+        };
+        assert!(matches!(
+            bursty.check_event_budget(1),
+            Err(ServeError::Config(_))
+        ));
     }
 
     #[test]

@@ -59,7 +59,7 @@
 use std::collections::VecDeque;
 
 use autoscale_rl::{DecisionKernel, QStoreStats};
-use autoscale_sim::{ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow};
+use autoscale_sim::{ArrivalKind, ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow};
 use serde::{Deserialize, Serialize};
 
 use super::session::{fnv1a_fold, fnv1a_start, DeviceSession, SessionReport};
@@ -108,6 +108,14 @@ impl std::fmt::Display for AdmissionPolicy {
         })
     }
 }
+
+/// The most arrivals a fleet may expect to be offered in one
+/// [`super::serve`] call: mean arrival rate × horizon × sessions. A
+/// fleet above it is rejected up front, so an absurd rate (say
+/// `--rate 1e300`) is an error rather than a run that never ends. It
+/// sits ~90× above the ~1.1M arrivals of the largest open-loop workload
+/// the benchmarks run.
+pub const MAX_EXPECTED_ARRIVALS: f64 = 1e8;
 
 /// Configuration of an open-loop serving run — [`None`] on
 /// [`super::ServeConfig::openloop`] keeps the closed-loop path
@@ -167,6 +175,30 @@ impl OpenLoopConfig {
         if !(horizon.is_finite() && horizon > 0.0) {
             return Err(ServeError::Config(format!(
                 "horizon must be a finite, positive number of milliseconds, got {horizon}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Rejects a fleet of `sessions` whose expected arrivals exceed
+    /// [`MAX_EXPECTED_ARRIVALS`]. The mean rate is the base rate (a
+    /// diurnal swing averages out over a cycle); for bursty traffic it
+    /// is bounded by the base rate times the burst multiplier.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] with the expected arrival count.
+    pub(crate) fn check_event_budget(&self, sessions: usize) -> Result<(), ServeError> {
+        let p = &self.arrivals;
+        let mean_rate_hz = match p.kind {
+            ArrivalKind::Bursty => p.rate_hz * p.burst_mult.max(1.0),
+            ArrivalKind::Poisson | ArrivalKind::Diurnal => p.rate_hz,
+        };
+        let expected = mean_rate_hz * self.horizon_ms / 1_000.0 * sessions as f64;
+        if expected > MAX_EXPECTED_ARRIVALS {
+            return Err(ServeError::Config(format!(
+                "the fleet expects {expected:.3e} arrivals (rate × horizon × sessions), \
+                 more than the {MAX_EXPECTED_ARRIVALS:.0e} one run may offer"
             )));
         }
         Ok(())

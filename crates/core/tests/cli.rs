@@ -1,12 +1,18 @@
 //! `autoscale-cli` regression tests: serving configurations that could
 //! only hang or serve nothing exit non-zero with a message.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// How long one CLI run may take before the test calls it hung.
+const DEADLINE: Duration = Duration::from_secs(30);
 
 /// Runs `autoscale-cli serve` on a tiny open-loop fleet with `extra`
-/// flags appended, and returns (exit success, stderr).
+/// flags appended, and returns (exit success, stderr). Fails the test if
+/// the run has not exited within [`DEADLINE`].
 fn serve_with(extra: &[&str]) -> (bool, String) {
-    let output = Command::new(env!("CARGO_BIN_EXE_autoscale-cli"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_autoscale-cli"))
         .args([
             "serve",
             "--device",
@@ -17,12 +23,30 @@ fn serve_with(extra: &[&str]) -> (bool, String) {
             "poisson",
         ])
         .args(extra)
-        .output()
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
         .expect("the CLI binary runs");
-    (
-        output.status.success(),
-        String::from_utf8_lossy(&output.stderr).into_owned(),
-    )
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("the CLI can be waited on") {
+            break status;
+        }
+        if started.elapsed() > DEADLINE {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("autoscale-cli serve {extra:?} did not exit within {DEADLINE:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr is piped")
+        .read_to_string(&mut stderr)
+        .expect("stderr is UTF-8");
+    (status.success(), stderr)
 }
 
 #[test]
@@ -50,4 +74,15 @@ fn a_negative_rate_is_rejected() {
 fn a_zero_rate_stays_a_valid_silent_fleet() {
     let (ok, stderr) = serve_with(&["--rate", "0", "--horizon-ms", "100"]);
     assert!(ok, "--rate 0 is the documented silent process: {stderr}");
+}
+
+#[test]
+fn an_astronomical_rate_is_rejected_instead_of_hanging() {
+    for rate in ["1e300", "1e9"] {
+        let (ok, stderr) = serve_with(&["--rate", rate]);
+        assert!(!ok, "--rate {rate} must fail");
+        assert!(stderr.contains("arrivals"), "stderr: {stderr}");
+        // No warm start was given, so no hint about one.
+        assert!(!stderr.contains("Q-table"), "stderr: {stderr}");
+    }
 }

@@ -89,7 +89,7 @@ impl MaskSet {
     /// Packs a `&[bool]` feasibility mask into all three views.
     pub fn from_bools(mask: &[bool]) -> Self {
         let mut words = vec![0u64; mask.len().div_ceil(WORD_BITS)];
-        let mut allowed = Vec::new();
+        let mut allowed = Vec::with_capacity(mask.len());
         for (i, &allow) in mask.iter().enumerate() {
             if allow {
                 words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);

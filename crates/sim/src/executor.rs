@@ -1,8 +1,6 @@
 //! The simulator: executes a fully specified request and reports the
 //! latency, energy and accuracy the paper's testbed would have measured.
 
-use std::collections::BTreeMap;
-
 use autoscale_net::{FailedTransfer, LinkKind, LinkModel, Transfer};
 use autoscale_nn::{accuracy_for, Network, Precision, Workload};
 use autoscale_platform::{
@@ -122,9 +120,6 @@ const LATENCY_NOISE_STD: f64 = 0.03;
 /// lands the simulated MAPE in the same range).
 const ENERGY_NOISE_STD: f64 = 0.055;
 
-/// Memoized per-(placement, workload) roofline cost tables.
-type CostTables = BTreeMap<(Placement, Workload), NetworkCostCache>;
-
 /// Dense placement slots: three sites × every processor kind.
 const PLACEMENT_SLOTS: usize = 3 * ProcessorKind::ALL.len();
 
@@ -138,12 +133,73 @@ fn placement_slot(placement: Placement) -> usize {
     site * ProcessorKind::ALL.len() + kind as usize
 }
 
+/// The placement at a dense slot: the inverse of [`placement_slot`].
+fn slot_placement(slot: usize) -> Placement {
+    let kind = ProcessorKind::ALL[slot % ProcessorKind::ALL.len()];
+    match slot / ProcessorKind::ALL.len() {
+        0 => Placement::OnDevice(kind),
+        1 => Placement::ConnectedEdge(kind),
+        _ => Placement::Cloud(kind),
+    }
+}
+
 /// The tighter (lower) of two optional frequency-ratio caps.
 fn tighter_cap(a: Option<f64>, b: Option<f64>) -> Option<f64> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (cap, None) => cap,
         (None, cap) => cap,
+    }
+}
+
+/// The feasibility rule for a request whose placement resolved to
+/// `slot` (`None` when the site has no processor of that kind) — the one
+/// check both [`Simulator::check`] and [`PreparedExecutor`] apply.
+fn gate<'a>(
+    request: &Request,
+    slot: Option<(&'a Processor, &'a NetworkCostCache)>,
+    recurrent: bool,
+) -> Result<(&'a Processor, &'a NetworkCostCache), ExecutionError> {
+    let placement = request.placement;
+    let (processor, cache) = slot.ok_or(ExecutionError::NoSuchProcessor(placement))?;
+    if !processor.supports_precision(request.precision) {
+        return Err(ExecutionError::UnsupportedPrecision(placement));
+    }
+    if recurrent && !processor.runs_recurrent() {
+        return Err(ExecutionError::RecurrentUnsupported(placement));
+    }
+    Ok((processor, cache))
+}
+
+/// What the simulator knows about one workload on its testbed, computed
+/// once at construction: networks are immutable, so none of it ever
+/// invalidates.
+#[derive(Debug, Clone)]
+struct WorkloadFacts {
+    /// The workload's canonical network.
+    network: Network,
+    /// Whether the network has recurrent layers (feasibility gating).
+    recurrent: bool,
+    /// Memoized roofline terms per placement slot; `None` where the site
+    /// has no processor of that kind.
+    costs: [Option<NetworkCostCache>; PLACEMENT_SLOTS],
+}
+
+impl WorkloadFacts {
+    /// Builds the facts of `workload` on a testbed whose `sites` are the
+    /// host, tablet and cloud devices, in placement-slot order.
+    fn build(workload: Workload, sites: [&Device; 3]) -> Self {
+        let network = Network::workload(workload);
+        let costs = std::array::from_fn(|slot| {
+            sites[slot / ProcessorKind::ALL.len()]
+                .processor(slot_placement(slot).processor_kind())
+                .map(|processor| NetworkCostCache::build(processor, &network))
+        });
+        WorkloadFacts {
+            recurrent: network.has_recurrent_layers(),
+            network,
+            costs,
+        }
     }
 }
 
@@ -156,12 +212,11 @@ pub struct Simulator {
     cloud: Device,
     wlan: LinkModel,
     p2p: LinkModel,
-    networks: BTreeMap<Workload, Network>,
-    /// Memoized roofline terms for every reachable (placement, workload)
-    /// pair, built once at construction (networks are immutable, so the
-    /// cache never invalidates). `Workload` doubles as the network id:
-    /// there is exactly one canonical [`Network`] per workload.
-    cost_tables: CostTables,
+    /// Per-workload facts indexed by [`Workload::index`], so every
+    /// feasibility check and cost lookup is O(1). `Workload` doubles as
+    /// the network id: there is exactly one canonical [`Network`] per
+    /// workload.
+    workloads: [WorkloadFacts; Workload::ALL.len()],
 }
 
 impl Simulator {
@@ -189,55 +244,39 @@ impl Simulator {
     /// Panics if `host` is not a phone.
     pub fn with_devices(host: Device, tablet: Device, cloud: Device) -> Self {
         assert!(host.is_phone(), "the simulator host must be a phone");
-        let networks: BTreeMap<Workload, Network> = Workload::ALL
-            .iter()
-            .map(|&w| (w, Network::workload(w)))
-            .collect();
-        let cost_tables = Self::build_cost_tables(&host, &tablet, &cloud, &networks);
+        let workloads = Workload::ALL.map(|w| WorkloadFacts::build(w, [&host, &tablet, &cloud]));
         Simulator {
             host,
             tablet,
             cloud,
             wlan: LinkModel::for_kind(LinkKind::Wlan),
             p2p: LinkModel::for_kind(LinkKind::PeerToPeer),
-            networks,
-            cost_tables,
+            workloads,
         }
     }
 
-    /// Precomputes the roofline cost tables for every processor reachable
-    /// from this testbed and every workload's canonical network.
-    fn build_cost_tables(
-        host: &Device,
-        tablet: &Device,
-        cloud: &Device,
-        networks: &BTreeMap<Workload, Network>,
-    ) -> CostTables {
-        type Slot<'a> = (&'a Device, fn(ProcessorKind) -> Placement);
-        let slots: [Slot<'_>; 3] = [
-            (host, Placement::OnDevice),
-            (tablet, Placement::ConnectedEdge),
-            (cloud, Placement::Cloud),
-        ];
-        let mut tables = BTreeMap::new();
-        for (device, placement_for) in slots {
-            for kind in ProcessorKind::ALL {
-                if let Some(processor) = device.processor(kind) {
-                    for (&workload, network) in networks {
-                        tables.insert(
-                            (placement_for(kind), workload),
-                            NetworkCostCache::build(processor, network),
-                        );
-                    }
-                }
-            }
-        }
-        tables
+    /// The (processor, cost cache) pair a placement resolves to for a
+    /// workload, if the site has a processor of that kind.
+    fn slot(
+        &self,
+        workload: Workload,
+        placement: Placement,
+    ) -> Option<(&Processor, &NetworkCostCache)> {
+        let cache = self.workloads[workload.index()].costs[placement_slot(placement)].as_ref();
+        self.processor_for(placement).zip(cache)
     }
 
-    /// The memoized cost tables for a feasible (placement, workload) pair.
-    fn cost_cache(&self, placement: Placement, workload: Workload) -> &NetworkCostCache {
-        &self.cost_tables[&(placement, workload)]
+    /// [`Self::check`], also returning the request's memoized cost cache.
+    fn checked(
+        &self,
+        workload: Workload,
+        request: &Request,
+    ) -> Result<(&Processor, &NetworkCostCache), ExecutionError> {
+        gate(
+            request,
+            self.slot(workload, request.placement),
+            self.workloads[workload.index()].recurrent,
+        )
     }
 
     /// The host phone.
@@ -267,7 +306,7 @@ impl Simulator {
 
     /// The cached network for a workload.
     pub fn network(&self, workload: Workload) -> &Network {
-        &self.networks[&workload]
+        &self.workloads[workload.index()].network
     }
 
     /// The device a placement lands on.
@@ -295,17 +334,8 @@ impl Simulator {
         workload: Workload,
         request: &Request,
     ) -> Result<&Processor, ExecutionError> {
-        let placement = request.placement;
-        let processor = self
-            .processor_for(placement)
-            .ok_or(ExecutionError::NoSuchProcessor(placement))?;
-        if !processor.supports_precision(request.precision) {
-            return Err(ExecutionError::UnsupportedPrecision(placement));
-        }
-        if self.network(workload).has_recurrent_layers() && !processor.runs_recurrent() {
-            return Err(ExecutionError::RecurrentUnsupported(placement));
-        }
-        Ok(processor)
+        self.checked(workload, request)
+            .map(|(processor, _)| processor)
     }
 
     /// Whether a request can execute for a workload.
@@ -341,25 +371,19 @@ impl Simulator {
         burst_cap: Option<f64>,
         compute_stretch: f64,
     ) -> Result<Outcome, ExecutionError> {
-        let processor = self.check(workload, request)?;
+        let (processor, cache) = self.checked(workload, request)?;
         let network = self.network(workload);
         let accuracy = accuracy_for(workload).at(request.precision);
 
         let outcome = match request.placement {
             Placement::OnDevice(_) => on_device_outcome(
-                &self.host,
-                processor,
-                self.cost_cache(request.placement, workload),
-                request,
-                snapshot,
-                burst_cap,
-                accuracy,
+                &self.host, processor, cache, request, snapshot, burst_cap, accuracy,
             ),
             Placement::ConnectedEdge(_) => remote_outcome(
                 self.host.base_power_w(),
                 network,
                 processor,
-                self.cost_cache(request.placement, workload),
+                cache,
                 &self.tablet,
                 &self.p2p,
                 snapshot.p2p,
@@ -371,7 +395,7 @@ impl Simulator {
                 self.host.base_power_w(),
                 network,
                 processor,
-                self.cost_cache(request.placement, workload),
+                cache,
                 &self.cloud,
                 &self.wlan,
                 snapshot.wlan,
@@ -578,22 +602,10 @@ impl Simulator {
     /// distributions) resolved once, so a serving loop issuing thousands
     /// of requests for the same workload pays none of them per request.
     pub fn prepare(&self, workload: Workload) -> PreparedExecutor<'_> {
-        let network = self.network(workload);
+        let facts = &self.workloads[workload.index()];
         let mut slots = [None; PLACEMENT_SLOTS];
-        type Slot<'a> = (&'a Device, fn(ProcessorKind) -> Placement);
-        let sites: [Slot<'_>; 3] = [
-            (&self.host, Placement::OnDevice),
-            (&self.tablet, Placement::ConnectedEdge),
-            (&self.cloud, Placement::Cloud),
-        ];
-        for (device, placement_for) in sites {
-            for kind in ProcessorKind::ALL {
-                if let Some(processor) = device.processor(kind) {
-                    let placement = placement_for(kind); // lint:hot-exempt(placement_for is a local fn pointer from the sites table above; every target is a workspace placement fn)
-                    slots[placement_slot(placement)] =
-                        Some((processor, self.cost_cache(placement, workload)));
-                }
-            }
+        for (slot, entry) in slots.iter_mut().enumerate() {
+            *entry = self.slot(workload, slot_placement(slot));
         }
         // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
         let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal"); // lint:hot-exempt(Normal::new stores (mean, std): allocation-free)
@@ -602,8 +614,8 @@ impl Simulator {
         PreparedExecutor {
             sim: self,
             workload,
-            network,
-            recurrent: network.has_recurrent_layers(),
+            network: &facts.network,
+            recurrent: facts.recurrent,
             accuracy: accuracy_for(workload),
             slots,
             lat_noise,
@@ -732,16 +744,11 @@ impl<'a> PreparedExecutor<'a> {
         &self,
         request: &Request,
     ) -> Result<(&'a Processor, &'a NetworkCostCache), ExecutionError> {
-        let placement = request.placement;
-        let (processor, cache) = self.slots[placement_slot(placement)]
-            .ok_or(ExecutionError::NoSuchProcessor(placement))?;
-        if !processor.supports_precision(request.precision) {
-            return Err(ExecutionError::UnsupportedPrecision(placement));
-        }
-        if self.recurrent && !processor.runs_recurrent() {
-            return Err(ExecutionError::RecurrentUnsupported(placement));
-        }
-        Ok((processor, cache))
+        gate(
+            request,
+            self.slots[placement_slot(request.placement)],
+            self.recurrent,
+        )
     }
 
     /// [`Simulator::execute_expected`] through the prepared view.
@@ -1341,6 +1348,50 @@ mod tests {
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(rng_a, rng_b);
+    }
+
+    #[test]
+    fn resolved_cost_tables_match_a_fresh_build() {
+        // Guards the placement-slot × workload indexing: every pair the
+        // simulator resolves carries the cache built for exactly that
+        // processor and network, and only real processors resolve.
+        let mut testbeds: Vec<Simulator> = DeviceId::PHONES.map(Simulator::new).into();
+        testbeds.push(Simulator::with_devices(
+            Device::mi8pro_npu(),
+            Device::galaxy_tab_s6(),
+            Device::cloud_server_tpu(),
+        ));
+        for sim in &testbeds {
+            for w in Workload::ALL {
+                let prepared = sim.prepare(w);
+                let network = Network::workload(w);
+                let mut resolved = 0;
+                for slot in 0..PLACEMENT_SLOTS {
+                    let placement = slot_placement(slot);
+                    assert_eq!(placement_slot(placement), slot, "{placement}");
+                    match (prepared.slots[slot], sim.processor_for(placement)) {
+                        (Some((processor, cache)), Some(expected)) => {
+                            assert!(std::ptr::eq(processor, expected), "{w} {placement}");
+                            assert_eq!(
+                                cache,
+                                &NetworkCostCache::build(expected, &network),
+                                "{w} {placement}"
+                            );
+                            let via_sim = sim.slot(w, placement).map(|(_, c)| c);
+                            assert!(via_sim.is_some_and(|c| std::ptr::eq(c, cache)));
+                            resolved += 1;
+                        }
+                        (None, None) => {}
+                        (got, want) => panic!(
+                            "{w} {placement}: resolved {} but the device has {}",
+                            got.is_some(),
+                            want.is_some()
+                        ),
+                    }
+                }
+                assert!(resolved >= 3, "{w}: every site has at least a CPU");
+            }
+        }
     }
 
     #[test]
