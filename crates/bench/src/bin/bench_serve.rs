@@ -8,15 +8,16 @@
 //! 1-core box only one pass runs; "8 threads" there would measure the
 //! same serial execution twice and report a meaningless speedup).
 //!
-//! It then races every [`KernelKind`] over a longer fleet with latency
-//! recording off — the serving-throughput configuration — asserts the
-//! fleet digests are identical across kernels, and records the winner.
-//! The full run writes `BENCH_serve.json` at the repository root;
-//! `--smoke` runs a small fleet and skips the file (the CI-sized check).
+//! It then runs the steady-state lane: a longer fleet with latency
+//! recording off — the serving-throughput configuration, where most
+//! decisions happen after convergence freezes the policy — and records
+//! its decisions/second. The full run writes `BENCH_serve.json` at the
+//! repository root; `--smoke` runs a small fleet and skips the file (the
+//! CI-sized check).
 //!
-//! `--gate PATH` is the CI perf-regression mode: it runs only the kernel
-//! race, compares the best throughput against the committed
-//! `best_decisions_per_sec` in PATH, and exits non-zero on a >20%
+//! `--gate PATH` is the CI perf-regression mode: it runs only the
+//! steady-state lane, compares its throughput against the committed
+//! `steady.decisions_per_sec` in PATH, and exits non-zero on a >20%
 //! regression. Regenerate the committed number with
 //! `cargo run --release -p autoscale-bench --bin bench_serve`.
 //!
@@ -39,7 +40,6 @@ use std::time::Instant;
 use autoscale::parallel::{cell_seed, default_threads, resolve_threads};
 use autoscale::prelude::*;
 use autoscale::serve::session_seed;
-use autoscale_rl::KernelKind;
 use autoscale_sim::{ArrivalSampler, FaultProfile};
 
 struct Run {
@@ -51,79 +51,53 @@ struct Run {
     p99_ns: u64,
 }
 
-struct KernelRun {
-    kernel: KernelKind,
+struct SteadyRun {
     wall_s: f64,
     decisions_per_sec: f64,
 }
 
-/// Races every decision kernel over the same fleet (latency recording
-/// off, all cores) and asserts their fleet digests are identical —
-/// the determinism contract, enforced on every benchmark run.
-///
-/// Each kernel runs `passes` times and keeps its fastest pass: the
-/// throughput of interest is what the kernel can sustain, not what a
+/// The steady-state lane: one fleet (latency recording off, all cores)
+/// run `passes` times, keeping and printing the fastest pass — the
+/// throughput of interest is what serving can sustain, not what a
 /// scheduler hiccup did to one run.
-fn race_kernels(
+fn steady_lane(
     sim: &Simulator,
     mix: &ScenarioMix,
     sessions: usize,
     decisions: usize,
     faults: FaultProfile,
     passes: usize,
-) -> Vec<KernelRun> {
-    let mut runs: Vec<KernelRun> = Vec::new();
-    let mut digest: Option<u64> = None;
-    for kernel in KernelKind::ALL {
-        let config = ServeConfig {
-            sessions,
-            decisions_per_session: decisions,
-            shards: None,
-            record_latency: false,
-            faults,
-            kernel,
-            ..ServeConfig::fleet()
-        };
-        let mut best: Option<KernelRun> = None;
-        for _ in 0..passes.max(1) {
-            let start = Instant::now();
-            let report = autoscale::serve::serve(sim, mix, &config, None).expect("no warm start");
-            let wall_s = start.elapsed().as_secs_f64();
-            match digest {
-                None => digest = Some(report.digest()),
-                Some(reference) => assert_eq!(
-                    report.digest(),
-                    reference,
-                    "kernel {kernel} changed the decision traces"
-                ),
-            }
-            let decisions_per_sec = report.total_decisions() as f64 / wall_s;
-            if best
-                .as_ref()
-                .is_none_or(|b| decisions_per_sec > b.decisions_per_sec)
-            {
-                best = Some(KernelRun {
-                    kernel,
-                    wall_s,
-                    decisions_per_sec,
-                });
-            }
+) -> SteadyRun {
+    let config = ServeConfig {
+        sessions,
+        decisions_per_session: decisions,
+        shards: None,
+        record_latency: false,
+        faults,
+        ..ServeConfig::fleet()
+    };
+    let mut best: Option<SteadyRun> = None;
+    for _ in 0..passes.max(1) {
+        let start = Instant::now();
+        let report = autoscale::serve::serve(sim, mix, &config, None).expect("no warm start");
+        let wall_s = start.elapsed().as_secs_f64();
+        let decisions_per_sec = report.total_decisions() as f64 / wall_s;
+        if best
+            .as_ref()
+            .is_none_or(|b| decisions_per_sec > b.decisions_per_sec)
+        {
+            best = Some(SteadyRun {
+                wall_s,
+                decisions_per_sec,
+            });
         }
-        runs.push(best.expect("at least one pass"));
     }
-    runs
-}
-
-fn best_of(runs: &[KernelRun]) -> &KernelRun {
-    runs.iter()
-        .reduce(|best, r| {
-            if r.decisions_per_sec > best.decisions_per_sec {
-                r
-            } else {
-                best
-            }
-        })
-        .expect("at least one kernel raced")
+    let best = best.expect("at least one pass");
+    println!(
+        "  steady: {:>9.0} decisions/s ({:.2} s)",
+        best.decisions_per_sec, best.wall_s
+    );
+    best
 }
 
 /// Extracts a committed numeric field from a previously written
@@ -138,19 +112,15 @@ fn committed_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Extracts a committed string field (`"key": "value"`) the same way.
-fn committed_string(text: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":");
-    let at = text.find(&marker)?;
-    let rest = text[at + marker.len()..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn committed_best(text: &str, path: &str) -> f64 {
-    committed_number(text, "best_decisions_per_sec").unwrap_or_else(|| {
-        eprintln!("--gate: {path} has no best_decisions_per_sec (regenerate it with `cargo run --release -p autoscale-bench --bin bench_serve`)");
-        std::process::exit(2);
-    })
+/// The committed steady-state throughput: `decisions_per_sec` inside
+/// the `steady` block (the shard runs above it carry the same key).
+fn committed_steady(text: &str, path: &str) -> f64 {
+    text.find("\"steady\":")
+        .and_then(|at| committed_number(&text[at..], "decisions_per_sec"))
+        .unwrap_or_else(|| {
+            eprintln!("--gate: {path} has no steady.decisions_per_sec (regenerate it with `cargo run --release -p autoscale-bench --bin bench_serve`)");
+            std::process::exit(2);
+        })
 }
 
 /// The open-loop serving benchmark: overload a fleet, verify the
@@ -350,10 +320,11 @@ fn main() {
         }
     };
     let (sessions, decisions) = if smoke { (4, 50) } else { (32, 400) };
-    // The race measures serving throughput, so it runs longer sessions:
-    // most decisions happen after convergence freezes the policy, which
-    // is the regime a deployed fleet spends its life in.
-    let (race_sessions, race_decisions) = if smoke { (4, 200) } else { (16, 25_000) };
+    // The steady-state lane measures serving throughput, so it runs
+    // longer sessions: most decisions happen after convergence freezes
+    // the policy, which is the regime a deployed fleet spends its life
+    // in.
+    let (steady_sessions, steady_decisions) = if smoke { (4, 200) } else { (16, 25_000) };
 
     let sim = Simulator::new(DeviceId::Mi8Pro);
     let mix = ScenarioMix::static_envs();
@@ -369,68 +340,32 @@ fn main() {
             eprintln!("--gate: cannot read {path}: {e}");
             std::process::exit(2);
         });
-        let committed = committed_best(&text, &path);
+        let committed = committed_steady(&text, &path);
         if let Some(committed_cores) = committed_number(&text, "cores") {
             println!("cores: {cores} here vs {committed_cores:.0} when the baseline was committed");
         }
-        let runs = race_kernels(
+        let steady = steady_lane(
             &sim,
             &mix,
-            race_sessions,
-            race_decisions,
+            steady_sessions,
+            steady_decisions,
             faults,
             if smoke { 1 } else { 2 },
         );
-        let best = best_of(&runs);
-        for r in &runs {
-            println!(
-                "  kernel {:>6}: {:>9.0} decisions/s ({:.2} s)",
-                r.kernel, r.decisions_per_sec, r.wall_s
-            );
-        }
         let floor = committed * 0.8;
-        if best.decisions_per_sec < floor {
+        if steady.decisions_per_sec < floor {
             eprintln!(
-                "perf gate FAILED: best kernel ({}) served {:.0} decisions/s, \
+                "perf gate FAILED: the steady-state lane served {:.0} decisions/s, \
                  below 80% of the committed {:.0} (floor {:.0}).\n\
                  If this regression is intended, regenerate the baseline with\n\
                  `cargo run --release -p autoscale-bench --bin bench_serve` and commit {path}.",
-                best.kernel, best.decisions_per_sec, committed, floor
+                steady.decisions_per_sec, committed, floor
             );
             std::process::exit(1);
         }
-        // The committed winner must still be competitive in a fresh race:
-        // if another kernel now beats it by more than the gate tolerance,
-        // the ranking regressed (e.g. a fast path was lost) even though
-        // absolute throughput may still clear the floor.
-        if let Some(name) = committed_string(&text, "best_kernel") {
-            match runs.iter().find(|r| r.kernel.to_string() == name) {
-                None => {
-                    eprintln!("--gate: committed best_kernel `{name}` is not a known kernel");
-                    std::process::exit(2);
-                }
-                Some(recorded) => {
-                    let kernel_floor = best.decisions_per_sec * 0.8;
-                    if recorded.decisions_per_sec < kernel_floor {
-                        eprintln!(
-                            "perf gate FAILED: committed best kernel ({name}) served {:.0} \
-                             decisions/s, below 80% of the fresh best ({} at {:.0}).\n\
-                             The kernel ranking regressed; if intended, regenerate {path}.",
-                            recorded.decisions_per_sec, best.kernel, best.decisions_per_sec
-                        );
-                        std::process::exit(1);
-                    }
-                    println!(
-                        "kernel ranking holds: committed winner {name} at {:.0} decisions/s \
-                         vs fresh best {} at {:.0}",
-                        recorded.decisions_per_sec, best.kernel, best.decisions_per_sec
-                    );
-                }
-            }
-        }
         println!(
-            "perf gate passed: best kernel ({}) at {:.0} decisions/s vs committed {:.0} (floor {:.0})",
-            best.kernel, best.decisions_per_sec, committed, floor
+            "perf gate passed: steady-state lane at {:.0} decisions/s vs committed {:.0} (floor {:.0})",
+            steady.decisions_per_sec, committed, floor
         );
         return;
     }
@@ -535,26 +470,14 @@ fn main() {
         None => println!("speedup (best vs 1 shard): n/a (single effective shard)"),
     }
 
-    println!("kernel race: {race_sessions} sessions x {race_decisions} decisions, all kernels");
-    let kernel_runs = race_kernels(
+    println!("steady-state lane: {steady_sessions} sessions x {steady_decisions} decisions");
+    let steady = steady_lane(
         &sim,
         &mix,
-        race_sessions,
-        race_decisions,
+        steady_sessions,
+        steady_decisions,
         faults,
         if smoke { 1 } else { 2 },
-    );
-    for r in &kernel_runs {
-        println!(
-            "  kernel {:>6}: {:>9.0} decisions/s ({:.2} s)",
-            r.kernel, r.decisions_per_sec, r.wall_s
-        );
-    }
-    println!("fleet digests bit-identical across kernels");
-    let best = best_of(&kernel_runs);
-    println!(
-        "best kernel: {} at {:.0} decisions/s",
-        best.kernel, best.decisions_per_sec
     );
 
     if smoke {
@@ -575,25 +498,15 @@ fn main() {
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }
-    let mut kernel_entries = String::new();
-    for (i, r) in kernel_runs.iter().enumerate() {
-        kernel_entries.push_str(&format!(
-            "      {{\"kernel\": \"{}\", \"wall_s\": {:.3}, \"decisions_per_sec\": {:.1}}}{}\n",
-            r.kernel,
-            r.wall_s,
-            r.decisions_per_sec,
-            if i + 1 < kernel_runs.len() { "," } else { "" }
-        ));
-    }
     let speedup_json = match speedup {
         Some(x) => format!("{x:.3}"),
         None => "null".to_string(),
     };
     let json = format!(
-        "{{\n  \"sessions\": {sessions},\n  \"decisions_per_session\": {decisions},\n  \"cores\": {cores},\n  \"fleet_digest\": {},\n  \"speedup_best_vs_1\": {speedup_json},\n  \"single_core\": {single_core},\n  \"runs\": [\n{entries}  ],\n  \"kernel_race\": {{\n    \"sessions\": {race_sessions},\n    \"decisions_per_session\": {race_decisions},\n    \"cores\": {cores},\n    \"kernels\": [\n{kernel_entries}    ],\n    \"best_kernel\": \"{}\",\n    \"best_decisions_per_sec\": {:.1}\n  }}\n}}\n",
+        "{{\n  \"sessions\": {sessions},\n  \"decisions_per_session\": {decisions},\n  \"cores\": {cores},\n  \"fleet_digest\": {},\n  \"speedup_best_vs_1\": {speedup_json},\n  \"single_core\": {single_core},\n  \"runs\": [\n{entries}  ],\n  \"steady\": {{\n    \"sessions\": {steady_sessions},\n    \"decisions_per_session\": {steady_decisions},\n    \"cores\": {cores},\n    \"wall_s\": {:.3},\n    \"decisions_per_sec\": {:.1}\n  }}\n}}\n",
         digest.expect("at least one run"),
-        best.kernel,
-        best.decisions_per_sec
+        steady.wall_s,
+        steady.decisions_per_sec
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     std::fs::write(out, &json).expect("write BENCH_serve.json");

@@ -8,11 +8,12 @@
 //! autoscale-cli decide   --device mi8pro --qtable qtable.json --workload resnet-50 [--env S4]
 //! autoscale-cli evaluate --device mi8pro --qtable qtable.json --workload resnet-50 --env S1|all [--runs 100] [--threads N] [--json]
 //! autoscale-cli trace    --device mi8pro --qtable qtable.json --workload resnet-50 --env D2 --runs 50 --out trace.json
-//! autoscale-cli serve    --device mi8pro [--sessions 8] [--decisions 200] [--shards N] [--mix static|all] [--qtable FILE] [--seed N] [--faults PROFILE] [--kernel KERNEL] [--qstore dense|cow] [--arrivals poisson|bursty|diurnal --rate HZ --horizon-ms MS --queue N --admission drop|deadline|degrade --churn none|gentle|heavy] [--json]
+//! autoscale-cli serve    --device mi8pro [--sessions 8] [--decisions 200] [--shards N] [--mix static|all] [--qtable FILE] [--seed N] [--faults PROFILE] [--qstore dense|cow] [--arrivals poisson|bursty|diurnal --rate HZ --horizon-ms MS --queue N --admission drop|deadline|degrade --churn none|gentle|heavy] [--json]
 //! ```
 //!
 //! Argument parsing is deliberately hand-rolled (`--key value` pairs) to
-//! keep the dependency set identical to the library's.
+//! keep the dependency set identical to the library's. Each command
+//! accepts only the flags listed above; any other flag is an error.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -20,7 +21,7 @@ use std::process::ExitCode;
 use autoscale::experiment;
 use autoscale::prelude::*;
 use autoscale::scheduler::AutoScaleScheduler;
-use autoscale_rl::{KernelKind, QLearningAgent, QStoreKind};
+use autoscale_rl::{QLearningAgent, QStoreKind};
 use autoscale_sim::Trace;
 
 fn main() -> ExitCode {
@@ -41,22 +42,59 @@ fn run(args: &[String]) -> Result<(), String> {
         return Ok(());
     };
     let flags = parse_flags(&args[1..])?;
-    match command.as_str() {
-        "help" | "--help" | "-h" => {
+    let (known, command_fn): (&[&str], Command) = match command.as_str() {
+        "help" | "--help" | "-h" => (&[], |_| {
             print_help();
             Ok(())
-        }
-        "devices" => cmd_devices(),
-        "workloads" => cmd_workloads(),
-        "survey" => cmd_survey(&flags),
-        "train" => cmd_train(&flags),
-        "decide" => cmd_decide(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "trace" => cmd_trace(&flags),
-        "serve" => cmd_serve(&flags),
-        other => Err(format!("unknown command `{other}`")),
+        }),
+        "devices" => (&[], |_| cmd_devices()),
+        "workloads" => (&[], |_| cmd_workloads()),
+        "survey" => (&["device", "workload", "env", "seed"], cmd_survey),
+        "train" => (&["device", "out", "runs", "envs", "seed"], cmd_train),
+        "decide" => (&["device", "qtable", "workload", "env", "seed"], cmd_decide),
+        "evaluate" => (
+            &[
+                "device", "qtable", "workload", "env", "runs", "threads", "seed", "json",
+            ],
+            cmd_evaluate,
+        ),
+        "trace" => (
+            &["device", "qtable", "workload", "env", "runs", "out", "seed"],
+            cmd_trace,
+        ),
+        "serve" => (
+            &[
+                "device",
+                "sessions",
+                "decisions",
+                "shards",
+                "mix",
+                "qtable",
+                "seed",
+                "faults",
+                "qstore",
+                "arrivals",
+                "rate",
+                "horizon-ms",
+                "queue",
+                "admission",
+                "churn",
+                "json",
+            ],
+            cmd_serve,
+        ),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    // A misspelled or retired flag would otherwise be silently ignored
+    // and the command would run on the default it meant to override.
+    if let Some(flag) = flags.keys().find(|k| !known.contains(&k.as_str())) {
+        return Err(format!("unknown flag --{flag} for `{command}`"));
     }
+    command_fn(&flags)
 }
+
+/// A command's entry point, handed its parsed flags.
+type Command = fn(&BTreeMap<String, String>) -> Result<(), String>;
 
 fn print_help() {
     println!(
@@ -73,7 +111,7 @@ fn print_help() {
          \x20 serve    --device D [--sessions N] [--decisions N] [--shards N]\n\
          \x20          [--mix static|all] [--qtable FILE] [--seed N] [--json]\n\
          \x20          [--faults none|lossy-edge|lossy-cloud|flaky|stragglers|chaos]\n\
-         \x20          [--kernel scalar|packed|frozen] [--qstore dense|cow]\n\
+         \x20          [--qstore dense|cow]\n\
          \x20          [--arrivals poisson|bursty|diurnal] [--rate HZ]\n\
          \x20          [--horizon-ms MS] [--queue N]\n\
          \x20          [--admission drop|deadline|degrade]\n\
@@ -81,7 +119,8 @@ fn print_help() {
          \n\
          names: devices mi8pro|galaxy-s10e|moto-x-force (suffix +npu for the\n\
          NPU/TPU extension testbed); workloads as in `workloads` output;\n\
-         environments S1..S5, D1..D4\n\
+         environments S1..S5, D1..D4. A flag a command does not list is\n\
+         an error.\n\
          \n\
          `evaluate --env all` sweeps every environment on the parallel\n\
          harness; --threads N caps the workers (default: all cores, 1 runs\n\
@@ -94,8 +133,6 @@ fn print_help() {
          --faults injects seeded link dropouts, timeouts, disconnection\n\
          windows, stragglers and thermal bursts; failed offloads retry with\n\
          backoff and fall back locally, and reports stay deterministic.\n\
-         --kernel picks the decision kernel — a pure speed choice; every\n\
-         kernel produces bit-identical reports and digests.\n\
          --qstore picks the Q-table backend: `dense` gives every session\n\
          a private table; `cow` shares one immutable base (the --qtable\n\
          warm start, or a zero table) and gives each session a sparse\n\
@@ -559,15 +596,6 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {
             )
         })?,
     };
-    let kernel = match flags.get("kernel") {
-        None => KernelKind::Scalar,
-        Some(name) => KernelKind::parse(name).ok_or_else(|| {
-            format!(
-                "--kernel must be one of {}, got `{name}`",
-                KernelKind::ALL.map(|k| k.name()).join(", ")
-            )
-        })?,
-    };
     let qstore = match flags.get("qstore") {
         None => QStoreKind::Dense,
         Some(name) => QStoreKind::parse(name).ok_or_else(|| {
@@ -585,7 +613,6 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {
         base_seed: parse_u64(flags, "seed", 0xf1ee7)?,
         record_latency: true,
         faults,
-        kernel,
         qstore,
         openloop,
         ..ServeConfig::fleet()

@@ -7,7 +7,7 @@
 //! alternatives cannot match.
 
 use autoscale_nn::Workload;
-use autoscale_rl::{ConvergenceDetector, DecisionKernel, Hyperparameters, MaskSet, QLearningAgent};
+use autoscale_rl::{ConvergenceDetector, Hyperparameters, MaskSet, QLearningAgent, ScalarKernel};
 use autoscale_sim::{Outcome, Request, Scenario, Simulator, Snapshot};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -232,8 +232,8 @@ impl AutoScaleEngine {
         self.contexts[workload.index()].mask.bools()
     }
 
-    /// The same feasibility mask in the packed [`MaskSet`] form the
-    /// decision kernels consume.
+    /// The same feasibility mask in the [`MaskSet`] form the decision
+    /// kernel consumes.
     pub fn mask_set_for(&self, workload: Workload) -> &MaskSet {
         &self.contexts[workload.index()].mask
     }
@@ -305,18 +305,18 @@ impl AutoScaleEngine {
         })
     }
 
-    /// Selects an action through an explicit [`DecisionKernel`] — the
-    /// serving hot path. Draw-for-draw and decision-for-decision
-    /// identical to [`AutoScaleEngine::decide`] for every kernel (the
-    /// kernels' shared epsilon-greedy protocol pins the RNG schedule).
+    /// Selects an action through the [`ScalarKernel`] — the serving hot
+    /// path. Draw-for-draw and decision-for-decision identical to
+    /// [`AutoScaleEngine::decide`] (the kernel's epsilon-greedy protocol
+    /// pins the RNG schedule).
     ///
     /// # Errors
     ///
     /// Returns [`NoFeasibleActionError`] when the workload's feasibility
     /// mask is empty — see [`AutoScaleEngine::decide`].
-    pub fn decide_kernel<K: DecisionKernel + ?Sized>(
+    pub fn decide_kernel(
         &self,
-        kernel: &K,
+        kernel: &ScalarKernel,
         workload: Workload,
         snapshot: &Snapshot,
         rng: &mut StdRng,
@@ -352,9 +352,9 @@ impl AutoScaleEngine {
     ///
     /// Returns [`NoFeasibleActionError`] when the workload's feasibility
     /// mask is empty — see [`AutoScaleEngine::decide`].
-    pub fn decide_kernel_frozen<K: DecisionKernel + ?Sized>(
+    pub fn decide_kernel_frozen(
         &self,
-        kernel: &K,
+        kernel: &ScalarKernel,
         workload: Workload,
         snapshot: &Snapshot,
         rng: &mut StdRng,
@@ -811,19 +811,16 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_reproduces_the_classic_decide_path() {
-        // decide_kernel must be draw-for-draw identical to decide for
-        // every kernel, exploring or frozen, across busy and calm
-        // snapshots — the serving determinism contract starts here.
-        use autoscale_rl::{FrozenKernel, PackedKernel, ScalarKernel};
+    fn decide_kernel_matches_decide_draw_for_draw_exploring_and_frozen() {
+        // decide_kernel must be draw-for-draw identical to decide,
+        // exploring or frozen, across busy and calm snapshots — the
+        // serving determinism contract starts here.
         let sim = Simulator::new(DeviceId::Mi8Pro);
         for frozen in [false, true] {
             let mut engine = trained_engine(&sim, Workload::InceptionV1, 60);
             if frozen {
                 engine.freeze();
             }
-            let kernels: [&dyn autoscale_rl::DecisionKernel; 3] =
-                [&ScalarKernel, &PackedKernel, &FrozenKernel];
             let mut env = Environment::for_id(EnvironmentId::D2);
             let mut env_rng = seeded_rng(11);
             for _ in 0..25 {
@@ -833,14 +830,12 @@ mod tests {
                     let reference = engine
                         .decide(&sim, w, &snapshot, &mut reference_rng)
                         .expect("feasible");
-                    for kernel in kernels {
-                        let mut rng = seeded_rng(99);
-                        let step = engine
-                            .decide_kernel(kernel, w, &snapshot, &mut rng)
-                            .expect("feasible");
-                        assert_eq!(step, reference, "kernel {:?}", kernel.kind());
-                        assert_eq!(rng, reference_rng, "kernel {:?} draws", kernel.kind());
-                    }
+                    let mut rng = seeded_rng(99);
+                    let step = engine
+                        .decide_kernel(&ScalarKernel, w, &snapshot, &mut rng)
+                        .expect("feasible");
+                    assert_eq!(step, reference);
+                    assert_eq!(rng, reference_rng, "draws");
                 }
             }
         }

@@ -58,7 +58,7 @@
 
 use std::collections::VecDeque;
 
-use autoscale_rl::{DecisionKernel, QStoreStats};
+use autoscale_rl::{QStoreStats, ScalarKernel};
 use autoscale_sim::{ArrivalKind, ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow};
 use serde::{Deserialize, Serialize};
 
@@ -399,16 +399,14 @@ struct QueuedRequest {
 }
 
 /// The discrete-event session loop — the open-loop counterpart of
-/// `DeviceSession::run_inner`, monomorphized over the kernel the same
-/// way.
+/// `DeviceSession::run`.
 ///
 /// Consumes the session and returns its deterministic report, the
 /// wall-clock decision latencies (beside, never inside), the Q-store
 /// stats, and the session's traffic accounting.
-pub(super) fn drive<K: DecisionKernel>(
+pub(super) fn drive(
     mut session: DeviceSession<'_>,
     record_latency: bool,
-    kernel: &K,
     open: &OpenLoopConfig,
     seed: u64,
 ) -> Result<(SessionReport, Vec<u64>, QStoreStats, SessionTraffic), ServeError> {
@@ -467,15 +465,18 @@ pub(super) fn drive<K: DecisionKernel>(
         };
         let decided = if item.degraded {
             session.engine.decide_kernel_frozen(
-                kernel,
+                &ScalarKernel,
                 session.spec.workload,
                 &snapshot,
                 &mut session.rng,
             )
         } else {
-            session
-                .engine
-                .decide_kernel(kernel, session.spec.workload, &snapshot, &mut session.rng)
+            session.engine.decide_kernel(
+                &ScalarKernel,
+                session.spec.workload,
+                &snapshot,
+                &mut session.rng,
+            )
         };
         if let Some(timer) = &timer {
             // lint:hot-exempt(quarantined wall-clock read; open-loop serve counts are schedule-dependent, so the buffer grows amortized)
@@ -648,7 +649,6 @@ mod tests {
     use crate::serve::{DeviceSession, SessionSpec};
     use autoscale_nn::Workload;
     use autoscale_platform::DeviceId;
-    use autoscale_rl::KernelKind;
     use autoscale_sim::{EnvironmentId, FaultProfile, Simulator};
 
     fn spec() -> SessionSpec {
@@ -669,7 +669,7 @@ mod tests {
         let sim = Simulator::new(DeviceId::Mi8Pro);
         DeviceSession::with_faults(&sim, spec(), EngineConfig::paper(), None, seed, faults)
             .expect("no warm start")
-            .run_openloop(false, KernelKind::Scalar, open, seed)
+            .run_openloop(false, open, seed)
             .expect("open-loop session runs")
     }
 
@@ -772,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn arrival_schedule_is_independent_of_policy_faults_and_kernel() {
+    fn arrival_schedule_is_independent_of_policy_and_faults() {
         let open = OpenLoopConfig {
             queue_capacity: 4,
             ..OpenLoopConfig::poisson(800.0, 1_500.0)
@@ -788,27 +788,6 @@ mod tests {
         }
         let chaotic = run(&open, 21, FaultProfile::chaos());
         assert_eq!(chaotic.0.arrival_digest, reference, "faults");
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        for kernel in KernelKind::ALL {
-            let kerneled = DeviceSession::with_faults(
-                &sim,
-                spec(),
-                EngineConfig::paper(),
-                None,
-                21,
-                FaultProfile::none(),
-            )
-            .expect("no warm start")
-            .run_openloop(false, kernel, &open, 21)
-            .expect("runs");
-            assert_eq!(kerneled.0.arrival_digest, reference, "{kernel}");
-            // Kernels are a speed choice open-loop too.
-            assert_eq!(
-                kerneled.0,
-                run(&open, 21, FaultProfile::none()).0,
-                "{kernel}"
-            );
-        }
     }
 
     #[test]
@@ -863,7 +842,7 @@ mod tests {
                 FaultProfile::none(),
             )
             .expect("no warm start")
-            .run_openloop(record, KernelKind::Scalar, &open, 9)
+            .run_openloop(record, &open, 9)
             .expect("runs")
         };
         let timed = go(true);

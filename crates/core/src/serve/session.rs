@@ -12,10 +12,7 @@
 
 use autoscale_nn::Workload;
 use autoscale_rl::qtable::ShapeMismatchError;
-use autoscale_rl::{
-    DecisionKernel, FrozenKernel, KernelKind, PackedKernel, QLearningAgent, QStoreStats,
-    ScalarKernel,
-};
+use autoscale_rl::{QLearningAgent, QStoreStats, ScalarKernel};
 use autoscale_sim::{
     Environment, EnvironmentId, FaultInjector, FaultProfile, ResiliencePolicy, Simulator,
 };
@@ -258,9 +255,46 @@ impl<'a> DeviceSession<'a> {
         })
     }
 
+    /// Runs the session open-loop: requests arrive on the session's
+    /// private arrival schedule instead of back-to-back, queue in a
+    /// bounded buffer under the configured admission policy, and the
+    /// session only exists inside its churn window. The discrete-event
+    /// loop lives in [`super::openloop`].
+    ///
+    /// `seed` must be the same session seed the constructors received:
+    /// the arrival and churn streams are split from it
+    /// (`cell_seed(seed, 3)` and `cell_seed(seed, 4)`), disjoint from
+    /// the engine (0), environment/exploration (1) and fault (2)
+    /// streams, so open-loop traffic never perturbs — and is never
+    /// perturbed by — any other stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`].
+    pub fn run_openloop(
+        self,
+        record_latency: bool,
+        open: &super::openloop::OpenLoopConfig,
+        seed: u64,
+    ) -> Result<
+        (
+            SessionReport,
+            Vec<u64>,
+            QStoreStats,
+            super::openloop::SessionTraffic,
+        ),
+        ServeError,
+    > {
+        super::openloop::drive(self, record_latency, open, seed)
+    }
+
     /// Runs the session to completion: `spec.decisions` iterations of
     /// decide → execute → learn, freezing to pure exploitation once the
-    /// reward converges (the paper's serving-mode switch).
+    /// reward converges (the paper's serving-mode switch). Requests
+    /// execute through one [`autoscale_sim::PreparedExecutor`] (the
+    /// simulator's per-workload batch interface — placement dispatch,
+    /// cost-cache lookup and noise distributions are resolved once per
+    /// session instead of once per request).
     ///
     /// With `record_latency` the wall-clock time of each *decision* (the
     /// Q-table lookup, not the simulated inference) is captured in
@@ -278,90 +312,8 @@ impl<'a> DeviceSession<'a> {
     /// testbeds (the engine only proposes mask-feasible requests), but
     /// surfaced as typed errors so the serving hot path never aborts.
     pub fn run(
-        self,
-        record_latency: bool,
-    ) -> Result<(SessionReport, Vec<u64>, QStoreStats), ServeError> {
-        self.run_with_kernel(record_latency, KernelKind::Scalar)
-    }
-
-    /// [`Self::run`] through an explicit [`DecisionKernel`].
-    ///
-    /// Every kernel honours the shared epsilon-greedy draw protocol, so
-    /// the returned [`SessionReport`] is bit-identical across kernels —
-    /// only the wall-clock decision latencies differ. The kernel choice
-    /// is dispatched once here; the per-decision loop is monomorphized
-    /// over it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
-    pub fn run_with_kernel(
-        self,
-        record_latency: bool,
-        kernel: KernelKind,
-    ) -> Result<(SessionReport, Vec<u64>, QStoreStats), ServeError> {
-        match kernel {
-            KernelKind::Scalar => self.run_inner(record_latency, &ScalarKernel),
-            KernelKind::Packed => self.run_inner(record_latency, &PackedKernel),
-            KernelKind::Frozen => self.run_inner(record_latency, &FrozenKernel),
-        }
-    }
-
-    /// Runs the session open-loop: requests arrive on the session's
-    /// private arrival schedule instead of back-to-back, queue in a
-    /// bounded buffer under the configured admission policy, and the
-    /// session only exists inside its churn window. The discrete-event
-    /// loop lives in [`super::openloop`]; this is the kernel-dispatch
-    /// wrapper mirroring [`Self::run_with_kernel`].
-    ///
-    /// `seed` must be the same session seed the constructors received:
-    /// the arrival and churn streams are split from it
-    /// (`cell_seed(seed, 3)` and `cell_seed(seed, 4)`), disjoint from
-    /// the engine (0), environment/exploration (1) and fault (2)
-    /// streams, so open-loop traffic never perturbs — and is never
-    /// perturbed by — any other stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
-    pub fn run_openloop(
-        self,
-        record_latency: bool,
-        kernel: KernelKind,
-        open: &super::openloop::OpenLoopConfig,
-        seed: u64,
-    ) -> Result<
-        (
-            SessionReport,
-            Vec<u64>,
-            QStoreStats,
-            super::openloop::SessionTraffic,
-        ),
-        ServeError,
-    > {
-        match kernel {
-            KernelKind::Scalar => {
-                super::openloop::drive(self, record_latency, &ScalarKernel, open, seed)
-            }
-            KernelKind::Packed => {
-                super::openloop::drive(self, record_latency, &PackedKernel, open, seed)
-            }
-            KernelKind::Frozen => {
-                super::openloop::drive(self, record_latency, &FrozenKernel, open, seed)
-            }
-        }
-    }
-
-    /// The monomorphized session loop: `spec.decisions` iterations of
-    /// decide → execute → learn over one kernel and one
-    /// [`PreparedExecutor`] (the simulator's per-workload batch
-    /// interface — placement dispatch, cost-cache lookup and noise
-    /// distributions are resolved once per session instead of once per
-    /// request).
-    fn run_inner<K: DecisionKernel>(
         mut self,
         record_latency: bool,
-        kernel: &K,
     ) -> Result<(SessionReport, Vec<u64>, QStoreStats), ServeError> {
         if record_latency {
             // lint:hot-exempt(the one-time preallocation the hot-path contract asks for, sized to the whole session)
@@ -381,20 +333,22 @@ impl<'a> DeviceSession<'a> {
             // A single decide path keeps the RNG draw sequence a pure
             // function of the session's history: freezing sets ε = 0
             // inside the policy rather than switching to a different
-            // (differently-drawing) greedy call site, and every kernel
-            // draws by the same protocol. The timer lives in statements
-            // of its own, never in the expression that produces the
-            // step — the taint pass tracks statement spans, so this
-            // shape keeps the measured wall clock visibly beside, not
-            // inside, the decision data.
+            // (differently-drawing) greedy call site. The timer lives in
+            // statements of its own, never in the expression that
+            // produces the step — the taint pass tracks statement spans,
+            // so this shape keeps the measured wall clock visibly beside,
+            // not inside, the decision data.
             let timer = if record_latency {
                 Some(DecisionTimer::start())
             } else {
                 None
             };
-            let decided =
-                self.engine
-                    .decide_kernel(kernel, self.spec.workload, &snapshot, &mut self.rng);
+            let decided = self.engine.decide_kernel(
+                &ScalarKernel,
+                self.spec.workload,
+                &snapshot,
+                &mut self.rng,
+            );
             if let Some(timer) = &timer {
                 // lint:hot-exempt(quarantined wall-clock read; the push lands in the buffer reserve_exact'd at session start)
                 self.latencies_ns.push(timer.elapsed_ns());
@@ -631,34 +585,6 @@ mod tests {
             "a fallback implies at least one fault on that request"
         );
         assert!(a.faulted_requests <= a.decisions);
-    }
-
-    #[test]
-    fn every_kernel_produces_the_same_session_report() {
-        // The serving determinism contract at session granularity: the
-        // kernel is a pure speed choice, never a behaviour choice —
-        // fault-free and under chaos alike.
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        for profile in [FaultProfile::none(), FaultProfile::chaos()] {
-            let run = |kernel: KernelKind| {
-                DeviceSession::with_faults(
-                    &sim,
-                    spec(120),
-                    EngineConfig::paper(),
-                    None,
-                    13,
-                    profile,
-                )
-                .expect("no warm start")
-                .run_with_kernel(false, kernel)
-                .expect("session runs")
-                .0
-            };
-            let reference = run(KernelKind::Scalar);
-            for kernel in [KernelKind::Packed, KernelKind::Frozen] {
-                assert_eq!(run(kernel), reference, "{kernel} under {profile:?}");
-            }
-        }
     }
 
     #[test]

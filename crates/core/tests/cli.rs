@@ -1,5 +1,6 @@
 //! `autoscale-cli` regression tests: serving configurations that could
-//! only hang or serve nothing exit non-zero with a message.
+//! only hang or serve nothing, and flags a command does not know, exit
+//! non-zero with a message.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -8,21 +9,11 @@ use std::time::{Duration, Instant};
 /// How long one CLI run may take before the test calls it hung.
 const DEADLINE: Duration = Duration::from_secs(30);
 
-/// Runs `autoscale-cli serve` on a tiny open-loop fleet with `extra`
-/// flags appended, and returns (exit success, stderr). Fails the test if
-/// the run has not exited within [`DEADLINE`].
-fn serve_with(extra: &[&str]) -> (bool, String) {
+/// Runs `autoscale-cli` with `args` and returns (exit success, stderr).
+/// Fails the test if the run has not exited within [`DEADLINE`].
+fn cli(args: &[&str]) -> (bool, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_autoscale-cli"))
-        .args([
-            "serve",
-            "--device",
-            "mi8pro",
-            "--sessions",
-            "2",
-            "--arrivals",
-            "poisson",
-        ])
-        .args(extra)
+        .args(args)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -35,7 +26,7 @@ fn serve_with(extra: &[&str]) -> (bool, String) {
         if started.elapsed() > DEADLINE {
             child.kill().ok();
             child.wait().ok();
-            panic!("autoscale-cli serve {extra:?} did not exit within {DEADLINE:?}");
+            panic!("autoscale-cli {args:?} did not exit within {DEADLINE:?}");
         }
         std::thread::sleep(Duration::from_millis(20));
     };
@@ -47,6 +38,55 @@ fn serve_with(extra: &[&str]) -> (bool, String) {
         .read_to_string(&mut stderr)
         .expect("stderr is UTF-8");
     (status.success(), stderr)
+}
+
+/// Runs `autoscale-cli serve` on a tiny open-loop fleet with `extra`
+/// flags appended.
+fn serve_with(extra: &[&str]) -> (bool, String) {
+    let base = [
+        "serve",
+        "--device",
+        "mi8pro",
+        "--sessions",
+        "2",
+        "--arrivals",
+        "poisson",
+    ];
+    cli(&[&base[..], extra].concat())
+}
+
+/// A tiny closed-loop `serve` invocation with `extra` flags appended.
+fn closed_loop_serve_with(extra: &[&str]) -> (bool, String) {
+    let base = [
+        "serve",
+        "--device",
+        "mi8pro",
+        "--sessions",
+        "2",
+        "--decisions",
+        "5",
+    ];
+    cli(&[&base[..], extra].concat())
+}
+
+#[test]
+fn a_valid_closed_loop_serve_succeeds() {
+    let (ok, stderr) = closed_loop_serve_with(&[]);
+    assert!(ok, "stderr: {stderr}");
+}
+
+#[test]
+fn the_retired_kernel_flag_is_rejected() {
+    let (ok, stderr) = closed_loop_serve_with(&["--kernel", "packed"]);
+    assert!(!ok, "--kernel must fail");
+    assert!(stderr.contains("--kernel"), "stderr: {stderr}");
+}
+
+#[test]
+fn a_misspelled_flag_is_rejected() {
+    let (ok, stderr) = closed_loop_serve_with(&["--sesions", "100"]);
+    assert!(!ok, "--sesions must fail");
+    assert!(stderr.contains("--sesions"), "stderr: {stderr}");
 }
 
 #[test]

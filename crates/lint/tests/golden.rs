@@ -227,6 +227,38 @@ fn an_allocation_three_calls_below_the_decision_kernel_is_caught() {
 }
 
 #[test]
+fn an_allocation_in_the_serving_kernel_argmax_is_caught() {
+    // The serving kernel is a plain type with inherent methods, so the
+    // hot-path pass reaches `ScalarKernel::argmax` only through its
+    // callers (`AutoScaleEngine::decide_kernel` -> `ScalarKernel::select`).
+    // An allocation added to the argmax body must still be flagged.
+    let root = workspace_root();
+    let mut sources = autoscale_lint::read_workspace_sources(&root).expect("workspace is readable");
+    let target = "crates/rl/src/kernel.rs";
+    let idx = sources
+        .iter()
+        .position(|(p, _)| p == target)
+        .expect("kernel source present");
+    let body = "q.best_action(state, mask.bools()).map(|(a, _)| a)";
+    assert!(sources[idx].1.contains(body), "sabotage site moved");
+    sources[idx].1 = sources[idx].1.replace(
+        body,
+        "let sab: Vec<u64> = Vec::with_capacity(64);\n\
+         \x20       q.best_action(state, mask.bools()).map(|(a, _)| a + sab.len())",
+    );
+    let analysis = autoscale_lint::analyze_sources(sources);
+    let hit = analysis.report.findings.iter().any(|f| {
+        f.rule == Rule::HotPathAlloc && f.file == target && f.message.contains("decide_kernel")
+    });
+    assert!(
+        hit,
+        "an allocation in ScalarKernel::argmax must be flagged as hot-path-alloc with a \
+         decide_kernel witness; findings:\n{}",
+        analysis.report.render_human()
+    );
+}
+
+#[test]
 fn a_conditional_extra_fault_draw_is_caught() {
     // The stream-discipline acceptance check from issue 9: give a copy
     // of the fault injector a request method whose branch arms consume

@@ -166,8 +166,9 @@ impl QLearningAgent {
     }
 
     /// The policy's current exploration probability — `params().epsilon`
-    /// until [`QLearningAgent::freeze`] pins it to zero. Decision kernels
-    /// feed this into their shared epsilon-greedy protocol.
+    /// until [`QLearningAgent::freeze`] pins it to zero. The serving
+    /// kernel ([`crate::ScalarKernel`]) feeds this into its
+    /// epsilon-greedy protocol.
     pub fn epsilon(&self) -> f64 {
         self.policy.epsilon()
     }

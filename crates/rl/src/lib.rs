@@ -22,9 +22,10 @@
 //!   uses to discretize continuous state features into the Table I buckets;
 //! * [`ConvergenceDetector`] — detects reward convergence (the paper's
 //!   Fig. 14 reports convergence within 40–50 inference runs);
-//! * [`DecisionKernel`] — swappable masked-argmax engines for the serving
-//!   hot path ([`ScalarKernel`] reference, [`PackedKernel`] lane-walker,
-//!   [`FrozenKernel`] greedy serving), all bit-identical by contract;
+//! * [`ScalarKernel`] — the serving decision kernel: the epsilon-greedy
+//!   draw protocol over a precomputed [`MaskSet`], answered from the
+//!   Q-table's argmax cache, decision-for-decision identical to
+//!   [`EpsilonGreedy`];
 //! * [`LinearQAgent`] — a linear function-approximation alternative, kept
 //!   as the measurable stand-in for the deep-RL family the paper rejects
 //!   on latency grounds.
@@ -58,7 +59,7 @@ pub mod qtable;
 pub use agent::{Hyperparameters, QLearningAgent};
 pub use convergence::ConvergenceDetector;
 pub use dbscan::{Dbscan, Discretizer};
-pub use kernel::{DecisionKernel, FrozenKernel, KernelKind, MaskSet, PackedKernel, ScalarKernel};
+pub use kernel::{MaskSet, ScalarKernel};
 pub use linear::LinearQAgent;
 pub use policy::EpsilonGreedy;
 pub use qstore::{

@@ -26,8 +26,7 @@
 //! ([`QLane`], `#[repr(align(64))]`): each row is padded to a multiple of
 //! eight actions, so a row always starts on a 64-byte cache-line boundary
 //! and a lane never straddles two lines. The padding slots hold `0.0` and
-//! are never read through the logical API; the packed decision kernel
-//! ([`crate::kernel`]) skips them via zero mask bits.
+//! are never read through the logical API.
 //!
 //! Rows are grouped into chunks of [`CHUNK_ROWS`] = 64, each a
 //! `OnceLock` holding the chunk's lanes and argmax cache entries. A

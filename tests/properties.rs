@@ -4,8 +4,8 @@ use autoscale::prelude::*;
 use autoscale::state::State;
 use autoscale_net::Rssi;
 use autoscale_rl::{
-    DecisionKernel, FrozenKernel, Hyperparameters, KernelKind, MaskSet, PackedKernel,
-    QLearningAgent, QStore, QStoreKind, QTable, ScalarKernel,
+    EpsilonGreedy, Hyperparameters, MaskSet, QLearningAgent, QStore, QStoreKind, QTable,
+    ScalarKernel,
 };
 use autoscale_sim::{ArrivalSampler, ChurnWindow};
 use proptest::prelude::*;
@@ -188,8 +188,9 @@ fn table_from(states: usize, actions: usize, values: &[f64]) -> QStore {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every decision kernel is decision-for-decision AND draw-for-draw
-    /// identical to the scalar reference, for arbitrary Q-values, masks
+    /// The serving kernel is decision-for-decision AND draw-for-draw
+    /// identical to the offline reference policy, `EpsilonGreedy::choose`
+    /// on the same `&[bool]` mask, for arbitrary Q-values, masks
     /// (including all-masked) and epsilon values. The RNG-state equality
     /// is the stronger half: a kernel that picked the same action while
     /// drawing differently would silently desynchronize every later
@@ -203,28 +204,20 @@ proptest! {
         state in 0usize..2,
     ) {
         let q = table_from(2, 66, &values);
-        let mask_set = MaskSet::from_bools(&mask);
         let mut reference_rng = autoscale::seeded_rng(seed);
-        let reference = ScalarKernel.select(&q, state, &mask_set, epsilon, &mut reference_rng);
+        let reference = EpsilonGreedy::new(epsilon).choose(&q, state, &mask, &mut reference_rng);
         match reference {
-            Some(a) => prop_assert!(mask[a], "scalar picked a masked action"),
+            Some(a) => prop_assert!(mask[a], "the reference picked a masked action"),
             None => prop_assert!(mask.iter().all(|&m| !m), "None only on an empty mask"),
         }
-        let kernels: [&dyn DecisionKernel; 2] = [&PackedKernel, &FrozenKernel];
-        for kernel in kernels {
-            let mut rng = autoscale::seeded_rng(seed);
-            let picked = kernel.select(&q, state, &mask_set, epsilon, &mut rng);
-            prop_assert_eq!(picked, reference);
-            prop_assert!(
-                rng == reference_rng,
-                "kernel {:?} perturbed the draw stream",
-                kernel.kind()
-            );
-        }
+        let mut rng = autoscale::seeded_rng(seed);
+        let picked = ScalarKernel.select(&q, state, &MaskSet::from_bools(&mask), epsilon, &mut rng);
+        prop_assert_eq!(picked, reference);
+        prop_assert!(rng == reference_rng, "the kernel perturbed the draw stream");
     }
 
     /// Tie-heavy rows (three distinct values over 66 actions) resolve to
-    /// the lowest allowed index of the maximum in every kernel.
+    /// the lowest allowed index of the maximum.
     #[test]
     fn kernels_resolve_ties_at_the_lowest_allowed_index(
         values in prop::collection::vec(prop::sample::select(vec![-1.0f64, 0.0, 1.0]), 66),
@@ -241,12 +234,9 @@ proptest! {
             }
         }
         let expected = expected.map(|(a, _)| a);
-        let kernels: [&dyn DecisionKernel; 3] = [&ScalarKernel, &PackedKernel, &FrozenKernel];
-        for kernel in kernels {
-            let mut rng = autoscale::seeded_rng(seed);
-            let picked = kernel.select(&q, 0, &mask_set, 0.0, &mut rng);
-            prop_assert_eq!(picked, expected);
-        }
+        let mut rng = autoscale::seeded_rng(seed);
+        let picked = ScalarKernel.select(&q, 0, &mask_set, 0.0, &mut rng);
+        prop_assert_eq!(picked, expected);
     }
 }
 
@@ -299,16 +289,6 @@ fn arb_fault_profile() -> impl Strategy<Value = FaultProfile> {
 
 /// A faulted serving run over a 4-session fleet.
 fn faulted_serve(profile: FaultProfile, seed: u64, shards: usize) -> ServeReport {
-    faulted_serve_kernel(profile, seed, shards, KernelKind::Scalar)
-}
-
-/// [`faulted_serve`] through an explicit decision kernel.
-fn faulted_serve_kernel(
-    profile: FaultProfile,
-    seed: u64,
-    shards: usize,
-    kernel: KernelKind,
-) -> ServeReport {
     let sim = Simulator::new(DeviceId::Mi8Pro);
     let mix = ScenarioMix::static_envs();
     let config = ServeConfig {
@@ -317,7 +297,6 @@ fn faulted_serve_kernel(
         shards: Some(shards),
         base_seed: seed,
         faults: profile,
-        kernel,
         ..ServeConfig::fleet()
     };
     serve(&sim, &mix, &config, None).expect("faulted fleets never error")
@@ -337,14 +316,13 @@ fn warm_paper_agent(table_seed: u64) -> QLearningAgent {
     )
 }
 
-/// [`faulted_serve_kernel`] with an explicit Q-store backend and a
-/// common warm-start agent.
+/// [`faulted_serve`] with an explicit Q-store backend and a common
+/// warm-start agent.
 fn warm_serve(
     qstore: QStoreKind,
     profile: FaultProfile,
     seed: u64,
     shards: usize,
-    kernel: KernelKind,
     warm: &QLearningAgent,
 ) -> ServeReport {
     let sim = Simulator::new(DeviceId::Mi8Pro);
@@ -355,7 +333,6 @@ fn warm_serve(
         shards: Some(shards),
         base_seed: seed,
         faults: profile,
-        kernel,
         qstore,
         ..ServeConfig::fleet()
     };
@@ -367,7 +344,7 @@ proptest! {
 
     /// Fleet memory: for any fault profile, warm start, and seed, a
     /// copy-on-write fleet sharing one base table reproduces the dense
-    /// fleet byte for byte across every kernel and shard count.
+    /// fleet byte for byte across every shard count.
     #[test]
     fn cow_fleets_reproduce_dense_fleets_exactly(
         profile in (any::<bool>(), arb_fault_profile()).prop_map(|(calm, p)| {
@@ -377,21 +354,12 @@ proptest! {
         table_seed in any::<u64>(),
     ) {
         let warm = warm_paper_agent(table_seed);
-        let dense = warm_serve(
-            QStoreKind::Dense,
-            profile,
-            seed,
-            1,
-            KernelKind::Scalar,
-            &warm,
-        );
-        for kernel in KernelKind::ALL {
-            for shards in [1usize, 4, 8] {
-                let cow = warm_serve(QStoreKind::Cow, profile, seed, shards, kernel, &warm);
-                prop_assert_eq!(&cow.sessions, &dense.sessions);
-                prop_assert_eq!(cow.digest(), dense.digest());
-                prop_assert!(cow.store.overlay_rows > 0);
-            }
+        let dense = warm_serve(QStoreKind::Dense, profile, seed, 1, &warm);
+        for shards in [1usize, 4, 8] {
+            let cow = warm_serve(QStoreKind::Cow, profile, seed, shards, &warm);
+            prop_assert_eq!(&cow.sessions, &dense.sessions);
+            prop_assert_eq!(cow.digest(), dense.digest());
+            prop_assert!(cow.store.overlay_rows > 0);
         }
     }
 
@@ -417,12 +385,6 @@ proptest! {
         for shards in [4usize, 8] {
             let sharded = faulted_serve(profile, seed, shards);
             prop_assert_eq!(&sharded.sessions, &reference.sessions);
-        }
-        // The kernel dimension of the same contract: under any fault
-        // profile, every decision kernel reproduces the scalar fleet.
-        for kernel in [KernelKind::Packed, KernelKind::Frozen] {
-            let keyed = faulted_serve_kernel(profile, seed, 2, kernel);
-            prop_assert_eq!(&keyed.sessions, &reference.sessions);
         }
     }
 
@@ -593,7 +555,6 @@ fn openloop_serve(
     profile: FaultProfile,
     seed: u64,
     shards: usize,
-    kernel: KernelKind,
 ) -> ServeReport {
     let sim = Simulator::new(DeviceId::Mi8Pro);
     let mix = ScenarioMix::static_envs();
@@ -603,7 +564,6 @@ fn openloop_serve(
         shards: Some(shards),
         base_seed: seed,
         faults: profile,
-        kernel,
         openloop: Some(open),
         ..ServeConfig::fleet()
     };
@@ -622,9 +582,9 @@ proptest! {
         profile in arb_fault_profile(),
         seed in any::<u64>(),
     ) {
-        let reference = openloop_serve(open, profile, seed, 1, KernelKind::Scalar);
+        let reference = openloop_serve(open, profile, seed, 1);
         for shards in [4usize, 8] {
-            let sharded = openloop_serve(open, profile, seed, shards, KernelKind::Scalar);
+            let sharded = openloop_serve(open, profile, seed, shards);
             prop_assert_eq!(&sharded.sessions, &reference.sessions);
             prop_assert_eq!(&sharded.traffic, &reference.traffic);
             prop_assert_eq!(sharded.digest(), reference.digest());
@@ -641,7 +601,7 @@ proptest! {
         profile in arb_fault_profile(),
         seed in any::<u64>(),
     ) {
-        let report = openloop_serve(open, profile, seed, 2, KernelKind::Packed);
+        let report = openloop_serve(open, profile, seed, 2);
         for s in &report.sessions {
             // Offered must split exactly into served + dropped.
             prop_assert_eq!(s.offered_requests, s.decisions + s.dropped_requests);
@@ -665,9 +625,9 @@ proptest! {
     }
 
     /// The arrival and churn schedules are pure functions of
-    /// `(spec, seed, index)`: swapping the admission policy, the decision
-    /// kernel AND the fault profile changes what happens to each request
-    /// but never which requests are offered or when.
+    /// `(spec, seed, index)`: swapping the admission policy AND the
+    /// fault profile changes what happens to each request but never
+    /// which requests are offered or when.
     #[test]
     fn arrival_schedules_ignore_policy_kernel_and_faults(
         open in arb_openloop(),
@@ -675,16 +635,15 @@ proptest! {
         admission in prop::sample::select(AdmissionPolicy::NAMES.to_vec()),
         seed in any::<u64>(),
     ) {
-        let reference = openloop_serve(open, FaultProfile::none(), seed, 1, KernelKind::Scalar);
+        let reference = openloop_serve(open, FaultProfile::none(), seed, 1);
         let variant_open = OpenLoopConfig {
             admission: AdmissionPolicy::parse(admission).expect("named policy"),
             ..open
         };
-        let variant = openloop_serve(variant_open, profile, seed, 2, KernelKind::Packed);
+        let variant = openloop_serve(variant_open, profile, seed, 2);
         for (a, b) in reference.sessions.iter().zip(&variant.sessions) {
             prop_assert_eq!(a.offered_requests, b.offered_requests);
-            // The arrival schedule must not depend on policy, kernel or
-            // faults.
+            // The arrival schedule must not depend on policy or faults.
             prop_assert_eq!(a.arrival_digest, b.arrival_digest);
         }
     }
@@ -762,7 +721,7 @@ proptest! {
     #[test]
     fn silent_open_loop_fleets_are_empty_but_valid(seed in any::<u64>()) {
         let open = OpenLoopConfig::poisson(0.0, 500.0);
-        let report = openloop_serve(open, FaultProfile::none(), seed, 2, KernelKind::Scalar);
+        let report = openloop_serve(open, FaultProfile::none(), seed, 2);
         let traffic = report.traffic.as_ref().expect("traffic present even when silent");
         prop_assert_eq!(traffic.offered, 0);
         prop_assert_eq!(traffic.served, 0);
@@ -786,7 +745,7 @@ proptest! {
             queue_capacity: 4,
             ..OpenLoopConfig::poisson(2_000.0, 250.0)
         };
-        let report = openloop_serve(open, FaultProfile::none(), seed, 2, KernelKind::Scalar);
+        let report = openloop_serve(open, FaultProfile::none(), seed, 2);
         let traffic = report.traffic.as_ref().expect("open-loop runs report traffic");
         prop_assert!(traffic.dropped > 0, "2 kHz against a ~50 Hz device must drop");
         prop_assert!(traffic.served > 0, "overload still serves at the service rate");
