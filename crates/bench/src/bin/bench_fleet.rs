@@ -46,6 +46,7 @@ use autoscale::experiment;
 use autoscale::parallel::default_threads;
 use autoscale::prelude::*;
 use autoscale::serve::serve;
+use autoscale_bench::committed_number;
 use autoscale_rl::QStoreKind;
 
 /// A feature-gated counting wrapper over the system allocator. Lives in
@@ -197,18 +198,6 @@ fn print_run(r: &BackendRun, states: usize) {
             None => String::new(),
         }
     );
-}
-
-/// Extracts a committed numeric field from `BENCH_fleet.json` without a
-/// JSON parser dependency.
-fn committed_number(text: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let at = text.find(&marker)?;
-    let rest = text[at + marker.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {

@@ -40,6 +40,7 @@ use std::time::Instant;
 use autoscale::parallel::{cell_seed, default_threads, resolve_threads};
 use autoscale::prelude::*;
 use autoscale::serve::session_seed;
+use autoscale_bench::committed_number;
 use autoscale_sim::{ArrivalSampler, FaultProfile};
 
 struct Run {
@@ -98,18 +99,6 @@ fn steady_lane(
         best.decisions_per_sec, best.wall_s
     );
     best
-}
-
-/// Extracts a committed numeric field from a previously written
-/// `BENCH_serve.json` without a JSON parser dependency.
-fn committed_number(text: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let at = text.find(&marker)?;
-    let rest = text[at + marker.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// The committed steady-state throughput: `decisions_per_sec` inside

@@ -4,7 +4,8 @@
 //! `src/bin` (`fig2` … `fig14`, `tab_states`, `tab_devices`,
 //! `tab_workloads`, `tab_overhead`) that regenerates the corresponding
 //! rows/series. This library holds what they share: scheduler
-//! construction, suite execution, aggregation and table printing.
+//! construction, suite execution, aggregation, table printing, and
+//! reading the numbers committed in `BENCH_*.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -225,9 +226,30 @@ pub fn section(title: &str) {
     println!("\n--- {title} ---");
 }
 
+/// Extracts a committed numeric field from a previously written
+/// `BENCH_*.json` without a JSON parser dependency: the number after the
+/// first `"key":` in `text`.
+pub fn committed_number(text: &str, key: &str) -> Option<f64> {
+    let marker = format!("\"{key}\":");
+    let at = text.find(&marker)?;
+    let rest = text[at + marker.len()..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn committed_numbers_are_read_by_key() {
+        let text = "{\"steady\": {\"cores\": 2, \"decisions_per_sec\": 3141913.1}}";
+        assert_eq!(committed_number(text, "cores"), Some(2.0));
+        assert_eq!(committed_number(text, "decisions_per_sec"), Some(3141913.1));
+        assert_eq!(committed_number(text, "wall_s"), None);
+    }
 
     #[test]
     fn means() {

@@ -5,9 +5,10 @@
 //! back-to-back decisions". A deployed fleet is open-loop: users offer
 //! requests on their own clock, sessions join and leave mid-run, and
 //! the interesting regime is overload — what gets dropped, what gets
-//! late, how deep the queues go. This module turns a [`DeviceSession`]
-//! into exactly that simulator while keeping every determinism
-//! guarantee the closed-loop path has.
+//! late, how deep the queues go. This module adds exactly that to a
+//! [`DeviceSession`] — arrivals, admission and the queue — while every
+//! request it serves runs through the same decide → execute → learn
+//! body as the closed loop, with every determinism guarantee intact.
 //!
 //! # Event ordering
 //!
@@ -35,35 +36,25 @@
 //! Ties need no tiebreaker: within one session every event is ordered
 //! by the rules above, and sessions never share state.
 //!
-//! # RNG stream layout
+//! # Traffic streams
 //!
-//! The session seed (one per session, `cell_seed(base_seed, i)`) is
-//! split into five disjoint streams:
-//!
-//! | stream | derivation          | consumer                        |
-//! |--------|---------------------|---------------------------------|
-//! | 0      | `cell_seed(seed,0)` | engine Q-table initialization   |
-//! | 1      | `cell_seed(seed,1)` | environment + exploration draws |
-//! | 2      | `cell_seed(seed,2)` | fault injector                  |
-//! | 3      | `cell_seed(seed,3)` | arrival schedule                |
-//! | 4      | `cell_seed(seed,4)` | churn window                    |
-//!
-//! Streams 3 and 4 draw a fixed number of values per event
-//! ([`autoscale_sim::ARRIVAL_DRAWS_PER_EVENT`],
+//! Arrivals and churn draw from streams 3 and 4 of the seed the
+//! session keeps (the stream table is in `serve/session.rs`), a fixed
+//! number of values per event ([`autoscale_sim::ARRIVAL_DRAWS_PER_EVENT`],
 //! [`autoscale_sim::CHURN_DRAWS_PER_SESSION`]), so the traffic a
 //! session sees is a pure function of `(process, seed, index)` —
 //! independent of scheduler decisions, the admission policy, the fault
 //! profile, and the shard count, and prefix-stable under longer
-//! horizons. [`SessionReport::arrival_digest`] fingerprints it.
+//! horizons. [`super::SessionReport::arrival_digest`] fingerprints it.
 
 use std::collections::VecDeque;
 
-use autoscale_rl::{QStoreStats, ScalarKernel};
-use autoscale_sim::{ArrivalKind, ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow};
+use autoscale_sim::{
+    ArrivalKind, ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow, PreparedExecutor,
+};
 use serde::{Deserialize, Serialize};
 
-use super::session::{fnv1a_fold, fnv1a_start, DeviceSession, SessionReport};
-use super::timing::DecisionTimer;
+use super::session::{fnv1a_fold, fnv1a_start, DeviceSession, Tally};
 use super::ServeError;
 use crate::parallel::cell_seed;
 
@@ -398,24 +389,50 @@ struct QueuedRequest {
     degraded: bool,
 }
 
-/// The discrete-event session loop — the open-loop counterpart of
-/// `DeviceSession::run`.
+impl QueuedRequest {
+    /// Serves this request: it starts once the device is free and the
+    /// request has arrived, and its sojourn (wait plus service) is what
+    /// counts against the QoS.
+    fn serve(
+        self,
+        session: &mut DeviceSession<'_>,
+        prepared: &PreparedExecutor<'_>,
+        free_at_ms: &mut f64,
+        traffic: &mut SessionTraffic,
+        tally: &mut Tally,
+    ) -> Result<(), ServeError> {
+        let start_ms = free_at_ms.max(self.at_ms);
+        let latency_ms = session.serve_request(prepared, self.degraded, tally)?;
+        *free_at_ms = start_ms + latency_ms;
+        traffic.busy_ms += latency_ms;
+        // Sojourn = completion - arrival: the latency the *user* saw,
+        // queueing included.
+        if *free_at_ms - self.at_ms > session.qos_ms {
+            traffic.deadline_violations += 1;
+        }
+        if self.degraded {
+            traffic.degraded += 1;
+        }
+        Ok(())
+    }
+}
+
+/// The discrete-event session loop: arrivals, admission and the queue.
+/// Every request it serves goes through
+/// [`DeviceSession::serve_request`], the body the closed loop runs too.
 ///
-/// Consumes the session and returns its deterministic report, the
-/// wall-clock decision latencies (beside, never inside), the Q-store
-/// stats, and the session's traffic accounting.
+/// Returns the session's traffic accounting and its arrival digest.
 pub(super) fn drive(
-    mut session: DeviceSession<'_>,
-    record_latency: bool,
+    session: &mut DeviceSession<'_>,
+    prepared: &PreparedExecutor<'_>,
     open: &OpenLoopConfig,
-    seed: u64,
-) -> Result<(SessionReport, Vec<u64>, QStoreStats, SessionTraffic), ServeError> {
+    tally: &mut Tally,
+) -> Result<(SessionTraffic, u64), ServeError> {
     let capacity = open.capacity();
-    let window = ChurnWindow::draw(open.churn, cell_seed(seed, 4));
-    let mut sampler = ArrivalSampler::new(open.arrivals, cell_seed(seed, 3));
+    let window = ChurnWindow::draw(open.churn, cell_seed(session.seed, 4));
+    let mut sampler = ArrivalSampler::new(open.arrivals, cell_seed(session.seed, 3));
     let join_ms = window.join_ms;
     let end_ms = window.end_ms(open.horizon_ms);
-    let prepared = session.sim.prepare(session.spec.workload);
 
     // lint:hot-exempt(one bounded per-session queue, allocated once before the event loop; admission caps its depth at `capacity`)
     let mut queue: VecDeque<QueuedRequest> = VecDeque::with_capacity(capacity);
@@ -436,114 +453,8 @@ pub(super) fn drive(
         span_ms: 0.0,
     };
     let mut arrival_digest = fnv1a_start();
-    let mut trace_digest = fnv1a_start();
-    let mut reward_sum = 0.0;
-    let mut qos_violations = 0;
-    let mut total_energy_mj = 0.0;
-    let mut faulted_requests = 0;
-    let mut retries = 0;
-    let mut fallbacks = 0;
-    let mut frozen_at: Option<usize> = None;
     // The device frees up no earlier than the session joins.
     let mut free_at_ms = join_ms;
-
-    // One served request: decide → execute → learn, identical draw
-    // protocol to the closed-loop body except for the degraded
-    // (exploration-off) decide, which draws the same count by
-    // construction.
-    let mut serve_one = |session: &mut DeviceSession<'_>,
-                         item: QueuedRequest,
-                         free_at_ms: &mut f64,
-                         traffic: &mut SessionTraffic|
-     -> Result<(), ServeError> {
-        let start_ms = free_at_ms.max(item.at_ms);
-        let snapshot = session.env.sample(&mut session.rng);
-        let timer = if record_latency {
-            Some(DecisionTimer::start())
-        } else {
-            None
-        };
-        let decided = if item.degraded {
-            session.engine.decide_kernel_frozen(
-                &ScalarKernel,
-                session.spec.workload,
-                &snapshot,
-                &mut session.rng,
-            )
-        } else {
-            session.engine.decide_kernel(
-                &ScalarKernel,
-                session.spec.workload,
-                &snapshot,
-                &mut session.rng,
-            )
-        };
-        if let Some(timer) = &timer {
-            // lint:hot-exempt(quarantined wall-clock read; open-loop serve counts are schedule-dependent, so the buffer grows amortized)
-            session.latencies_ns.push(timer.elapsed_ns());
-        }
-        let step = decided.map_err(|source| ServeError::NoFeasibleAction {
-            session: session.spec.session,
-            source,
-        })?;
-        trace_digest = fnv1a_fold(trace_digest, step.state_index as u64);
-        trace_digest = fnv1a_fold(trace_digest, step.action_index as u64);
-        let outcome = match &mut session.injector {
-            None => prepared.execute_measured(&step.request, &snapshot, &mut session.rng),
-            Some(injector) => {
-                let plan = injector.next_faults();
-                prepared
-                    .execute_resilient(
-                        &step.request,
-                        &snapshot,
-                        &plan,
-                        &session.resilience,
-                        &mut session.rng,
-                    )
-                    .map(|resilient| {
-                        if resilient.offload_faults > 0 {
-                            faulted_requests += 1;
-                        }
-                        retries += resilient.retries;
-                        if resilient.fell_back {
-                            fallbacks += 1;
-                        }
-                        resilient.outcome
-                    })
-            }
-        }
-        .map_err(|source| ServeError::Execution {
-            session: session.spec.session,
-            source,
-        })?;
-        if outcome.latency_ms > session.qos_ms {
-            qos_violations += 1;
-        }
-        *free_at_ms = start_ms + outcome.latency_ms;
-        traffic.busy_ms += outcome.latency_ms;
-        // Sojourn = completion - arrival: the latency the *user* saw,
-        // queueing included.
-        if *free_at_ms - item.at_ms > session.qos_ms {
-            traffic.deadline_violations += 1;
-        }
-        if item.degraded {
-            traffic.degraded += 1;
-        }
-        total_energy_mj += outcome.energy_mj;
-        reward_sum += session.engine.learn(
-            session.sim,
-            session.spec.workload,
-            step,
-            &outcome,
-            &snapshot,
-        );
-        if frozen_at.is_none() && session.engine.is_converged() {
-            session.engine.freeze();
-            frozen_at = Some(traffic.served);
-        }
-        traffic.served += 1;
-        Ok(())
-    };
 
     loop {
         let arrival = sampler.next_arrival();
@@ -563,8 +474,7 @@ pub(super) fn drive(
         // instant happen first.
         while free_at_ms <= at_ms {
             let Some(item) = queue.pop_front() else { break };
-            // lint:hot-exempt(closure call: serve_one is the decide→execute→learn body defined above, itself inside this hot fn)
-            serve_one(&mut session, item, &mut free_at_ms, &mut traffic)?;
+            item.serve(session, prepared, &mut free_at_ms, &mut traffic, tally)?;
         }
         // Rule 2: observe the depth this arrival found.
         let depth = queue.len();
@@ -574,10 +484,10 @@ pub(super) fn drive(
             traffic.dropped_full += 1;
             continue;
         }
-        let mean_service_ms = if traffic.served == 0 {
+        let mean_service_ms = if tally.served == 0 {
             0.0
         } else {
-            traffic.busy_ms / traffic.served as f64
+            traffic.busy_ms / tally.served as f64
         };
         let predicted_sojourn_ms =
             (free_at_ms - at_ms).max(0.0) + (depth as f64 + 1.0) * mean_service_ms;
@@ -603,52 +513,28 @@ pub(super) fn drive(
         queue.clear();
     } else {
         while let Some(item) = queue.pop_front() {
-            // lint:hot-exempt(closure call: serve_one is the decide→execute→learn body defined above, itself inside this hot fn)
-            serve_one(&mut session, item, &mut free_at_ms, &mut traffic)?;
+            item.serve(session, prepared, &mut free_at_ms, &mut traffic, tally)?;
         }
     }
 
+    traffic.served = tally.served;
     traffic.span_ms = (free_at_ms.max(end_ms) - join_ms).max(0.0);
     debug_assert_eq!(
         traffic.offered,
         traffic.served + traffic.dropped(),
         "open-loop conservation: offered == served + dropped"
     );
-    let report = SessionReport {
-        session: session.spec.session,
-        workload: session.spec.workload,
-        environment: session.spec.environment,
-        decisions: traffic.served,
-        trace_digest,
-        mean_reward: if traffic.served == 0 {
-            0.0
-        } else {
-            reward_sum / traffic.served as f64
-        },
-        qos_violations,
-        total_energy_mj,
-        faulted_requests,
-        retries,
-        fallbacks,
-        offered_requests: traffic.offered,
-        dropped_requests: traffic.dropped(),
-        degraded_requests: traffic.degraded,
-        deadline_violations: traffic.deadline_violations,
-        peak_queue_depth: traffic.peak_queue_depth,
-        arrival_digest,
-        converged_at: frozen_at,
-    };
-    let store_stats = session.engine.agent().store().stats();
-    Ok((report, session.latencies_ns, store_stats, traffic))
+    Ok((traffic, arrival_digest))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::serve::{DeviceSession, SessionSpec};
+    use crate::serve::{DeviceSession, SessionReport, SessionSpec};
     use autoscale_nn::Workload;
     use autoscale_platform::DeviceId;
+    use autoscale_rl::QStoreStats;
     use autoscale_sim::{EnvironmentId, FaultProfile, Simulator};
 
     fn spec() -> SessionSpec {
@@ -661,16 +547,21 @@ mod tests {
         }
     }
 
-    fn run(
-        open: &OpenLoopConfig,
-        seed: u64,
-        faults: FaultProfile,
-    ) -> (SessionReport, Vec<u64>, QStoreStats, SessionTraffic) {
+    type Run = (SessionReport, Vec<u64>, QStoreStats, SessionTraffic);
+
+    fn run(open: &OpenLoopConfig, seed: u64, faults: FaultProfile) -> Run {
+        run_recorded(open, seed, faults, false)
+    }
+
+    fn run_recorded(open: &OpenLoopConfig, seed: u64, faults: FaultProfile, record: bool) -> Run {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        DeviceSession::with_faults(&sim, spec(), EngineConfig::paper(), None, seed, faults)
-            .expect("no warm start")
-            .run_openloop(false, open, seed)
-            .expect("open-loop session runs")
+        let (report, latencies, stats, traffic) =
+            DeviceSession::new(&sim, spec(), EngineConfig::paper(), None, seed, faults)
+                .expect("no warm start")
+                .run(record, Some(open))
+                .expect("open-loop session runs");
+        let traffic = traffic.expect("open loop reports traffic");
+        (report, latencies, stats, traffic)
     }
 
     #[test]
@@ -830,23 +721,9 @@ mod tests {
 
     #[test]
     fn latency_recording_does_not_perturb_open_loop_reports() {
-        let sim = Simulator::new(DeviceId::Mi8Pro);
         let open = OpenLoopConfig::poisson(60.0, 1_000.0);
-        let go = |record: bool| {
-            DeviceSession::with_faults(
-                &sim,
-                spec(),
-                EngineConfig::paper(),
-                None,
-                9,
-                FaultProfile::none(),
-            )
-            .expect("no warm start")
-            .run_openloop(record, &open, 9)
-            .expect("runs")
-        };
-        let timed = go(true);
-        let quiet = go(false);
+        let timed = run_recorded(&open, 9, FaultProfile::none(), true);
+        let quiet = run(&open, 9, FaultProfile::none());
         assert_eq!(timed.0, quiet.0);
         assert_eq!(timed.3, quiet.3);
         assert_eq!(timed.1.len(), timed.3.served);

@@ -259,6 +259,47 @@ fn an_allocation_in_the_serving_kernel_argmax_is_caught() {
 }
 
 #[test]
+fn an_allocation_in_the_shared_session_body_is_caught() {
+    // Closed- and open-loop serving share one per-request body,
+    // `DeviceSession::serve_request`, reached from `DeviceSession::run`
+    // directly and through the open-loop driver. An allocation planted
+    // in it must be flagged with a `DeviceSession::run` witness.
+    let root = workspace_root();
+    let mut sources = autoscale_lint::read_workspace_sources(&root).expect("workspace is readable");
+    let target = "crates/core/src/serve/session.rs";
+    let idx = sources
+        .iter()
+        .position(|(p, _)| p == target)
+        .expect("session source present");
+    let body = "let snapshot = self.env.sample(&mut self.rng);";
+    assert_eq!(
+        sources[idx].1.matches(body).count(),
+        1,
+        "sabotage site moved"
+    );
+    let at = sources[idx].1.find(body).expect("site present");
+    let line = sources[idx].1[..at].matches('\n').count() as u32 + 1;
+    sources[idx].1 = sources[idx].1.replace(
+        body,
+        "let sab: Vec<u64> = Vec::with_capacity(64); let _ = sab.len();\n\
+         \x20       let snapshot = self.env.sample(&mut self.rng);",
+    );
+    let analysis = autoscale_lint::analyze_sources(sources);
+    let hit = analysis.report.findings.iter().any(|f| {
+        f.rule == Rule::HotPathAlloc
+            && f.file == target
+            && f.line == line
+            && f.message.contains("DeviceSession::run")
+    });
+    assert!(
+        hit,
+        "an allocation in DeviceSession::serve_request (line {line}) must be flagged as \
+         hot-path-alloc with a DeviceSession::run witness; findings:\n{}",
+        analysis.report.render_human()
+    );
+}
+
+#[test]
 fn a_conditional_extra_fault_draw_is_caught() {
     // The stream-discipline acceptance check from issue 9: give a copy
     // of the fault injector a request method whose branch arms consume
