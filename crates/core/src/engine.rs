@@ -842,6 +842,66 @@ mod tests {
     }
 
     #[test]
+    fn draw_protocols_are_pinned() {
+        // Decision sequences and the RNG state after them, as measured
+        // on the two-copy protocol: exploring (`decide`, `decide_kernel`),
+        // gate-draw-only (`decide_kernel_frozen`, a frozen `decide`) and
+        // draw-free (`decide_greedy`).
+        fn digest(
+            snapshots: &[Snapshot],
+            mut decide: impl FnMut(Workload, &Snapshot) -> DecisionStep,
+        ) -> u64 {
+            let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+            for snapshot in snapshots {
+                for w in [Workload::InceptionV1, Workload::MobileBert] {
+                    let step = decide(w, snapshot);
+                    for word in [step.state_index as u64, step.action_index as u64] {
+                        for byte in word.to_le_bytes() {
+                            hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+            hash
+        }
+        use rand::Rng;
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let mut engine = trained_engine(&sim, Workload::InceptionV1, 60);
+        let mut env = Environment::for_id(EnvironmentId::D2);
+        let mut env_rng = seeded_rng(11);
+        let snapshots: Vec<Snapshot> = (0..200).map(|_| env.sample(&mut env_rng)).collect();
+        const EXPLORING: (u64, u64) = (7903358732402747176, 15033668875524203852);
+        const GREEDY: u64 = 15179316994668838035;
+        const FROZEN: (u64, u64) = (GREEDY, 9073817963781961820);
+
+        let mut rng = seeded_rng(99);
+        let d = digest(&snapshots, |w, s| {
+            engine.decide(&sim, w, s, &mut rng).unwrap()
+        });
+        assert_eq!((d, rng.gen::<u64>()), EXPLORING, "decide");
+        let mut rng = seeded_rng(99);
+        let d = digest(&snapshots, |w, s| {
+            engine.decide_kernel(&ScalarKernel, w, s, &mut rng).unwrap()
+        });
+        assert_eq!((d, rng.gen::<u64>()), EXPLORING, "decide_kernel");
+        let mut rng = seeded_rng(99);
+        let d = digest(&snapshots, |w, s| {
+            engine
+                .decide_kernel_frozen(&ScalarKernel, w, s, &mut rng)
+                .unwrap()
+        });
+        assert_eq!((d, rng.gen::<u64>()), FROZEN, "decide_kernel_frozen");
+        let d = digest(&snapshots, |w, s| engine.decide_greedy(&sim, w, s).unwrap());
+        assert_eq!(d, GREEDY, "decide_greedy");
+        engine.freeze();
+        let mut rng = seeded_rng(99);
+        let d = digest(&snapshots, |w, s| {
+            engine.decide(&sim, w, s, &mut rng).unwrap()
+        });
+        assert_eq!((d, rng.gen::<u64>()), FROZEN, "frozen decide");
+    }
+
+    #[test]
     fn state_for_matches_encode_observation() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let engine = AutoScaleEngine::new(&sim, EngineConfig::paper());
