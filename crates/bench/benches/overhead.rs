@@ -13,7 +13,7 @@ fn warmed_engine(sim: &Simulator) -> AutoScaleEngine {
     let snapshot = Snapshot::calm();
     for _ in 0..200 {
         let step = engine
-            .decide(sim, Workload::MobileNetV3, &snapshot, &mut rng)
+            .decide(Workload::MobileNetV3, &snapshot, &mut rng)
             .expect("feasible");
         let outcome = sim
             .execute_measured(Workload::MobileNetV3, &step.request, &snapshot, &mut rng)
@@ -31,7 +31,7 @@ fn bench_overhead(c: &mut Criterion) {
     c.bench_function("serving_decision", |b| {
         b.iter(|| {
             engine
-                .decide_greedy(&sim, black_box(Workload::MobileNetV3), &snapshot)
+                .decide_greedy(black_box(Workload::MobileNetV3), &snapshot)
                 .expect("feasible")
         })
     });
@@ -49,7 +49,7 @@ fn bench_overhead(c: &mut Criterion) {
             .execute_expected(
                 Workload::MobileNetV3,
                 &engine
-                    .decide_greedy(&sim, Workload::MobileNetV3, &snapshot)
+                    .decide_greedy(Workload::MobileNetV3, &snapshot)
                     .expect("feasible")
                     .request,
                 &snapshot,
@@ -57,7 +57,7 @@ fn bench_overhead(c: &mut Criterion) {
             .expect("feasible");
         b.iter(|| {
             let step = engine
-                .decide(&sim, Workload::MobileNetV3, &snapshot, &mut rng)
+                .decide(Workload::MobileNetV3, &snapshot, &mut rng)
                 .expect("feasible");
             engine.learn(
                 &sim,

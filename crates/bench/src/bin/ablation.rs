@@ -244,9 +244,7 @@ fn train_blinded(
             for _ in 0..TRAIN_RUNS {
                 let snapshot = env.sample(&mut rng);
                 let censored = blind(&snapshot);
-                let step = engine
-                    .decide(sim, w, &censored, &mut rng)
-                    .expect("feasible");
+                let step = engine.decide(w, &censored, &mut rng).expect("feasible");
                 // The inference executes under the *true* conditions.
                 let outcome = sim
                     .execute_measured(w, &step.request, &snapshot, &mut rng)
@@ -326,7 +324,7 @@ fn accuracy_guard_ablation(threads: usize) {
         probes
             .iter()
             .filter(|&&w| {
-                let step = engine.decide_greedy(&sim, w, &calm).expect("feasible");
+                let step = engine.decide_greedy(w, &calm).expect("feasible");
                 let outcome = sim
                     .execute_expected(w, &step.request, &calm)
                     .expect("feasible");

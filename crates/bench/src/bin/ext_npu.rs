@@ -85,7 +85,7 @@ fn main() {
                 ppws.push(rep.normalized_ppw(&baseline));
                 // Count how often the greedy decision lands on an NPU/TPU.
                 let step = engine
-                    .decide_greedy(ev.sim(), w, &Snapshot::calm())
+                    .decide_greedy(w, &Snapshot::calm())
                     .expect("feasible");
                 npu_share.push(
                     (step.request.placement.processor_kind() == ProcessorKind::Npu) as u8 as f64,

@@ -20,9 +20,7 @@ fn main() {
 
     // Warm the engine so decisions exercise a populated table.
     for _ in 0..200 {
-        let step = engine
-            .decide(&sim, w, &snapshot, &mut rng)
-            .expect("feasible");
+        let step = engine.decide(w, &snapshot, &mut rng).expect("feasible");
         let outcome = sim
             .execute_measured(w, &step.request, &snapshot, &mut rng)
             .expect("feasible");
@@ -34,7 +32,7 @@ fn main() {
     // Serving decision: state lookup + greedy argmax.
     let t = Instant::now();
     for _ in 0..N {
-        std::hint::black_box(engine.decide_greedy(&sim, w, &snapshot).expect("feasible"));
+        std::hint::black_box(engine.decide_greedy(w, &snapshot).expect("feasible"));
     }
     let serve_us = t.elapsed().as_secs_f64() * 1e6 / N as f64;
 
@@ -44,7 +42,7 @@ fn main() {
         .execute_expected(
             w,
             &engine
-                .decide_greedy(&sim, w, &snapshot)
+                .decide_greedy(w, &snapshot)
                 .expect("feasible")
                 .request,
             &snapshot,
@@ -52,9 +50,7 @@ fn main() {
         .expect("feasible");
     let t = Instant::now();
     for _ in 0..N {
-        let step = engine
-            .decide(&sim, w, &snapshot, &mut rng)
-            .expect("feasible");
+        let step = engine.decide(w, &snapshot, &mut rng).expect("feasible");
         std::hint::black_box(engine.learn(&sim, w, step, &outcome, &snapshot));
     }
     let train_us = t.elapsed().as_secs_f64() * 1e6 / N as f64;

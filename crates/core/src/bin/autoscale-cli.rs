@@ -400,7 +400,7 @@ fn cmd_decide(flags: &BTreeMap<String, String>) -> Result<(), String> {
         None => Snapshot::calm(),
     };
     let step = engine
-        .decide_greedy(&sim, workload, &snapshot)
+        .decide_greedy(workload, &snapshot)
         .map_err(|e| e.to_string())?;
     let outcome = sim
         .execute_expected(workload, &step.request, &snapshot)
@@ -488,7 +488,7 @@ fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), String> {
     for _ in 0..runs {
         let snapshot = environment.sample(&mut rng);
         let step = engine
-            .decide_greedy(&sim, workload, &snapshot)
+            .decide_greedy(workload, &snapshot)
             .map_err(|e| e.to_string())?;
         let outcome = sim
             .execute_measured(workload, &step.request, &snapshot, &mut rng)

@@ -37,7 +37,7 @@ pub fn train_engine(
             for _ in 0..runs_per_pair {
                 let snapshot = env.sample(&mut rng);
                 let step = engine
-                    .decide(sim, workload, &snapshot, &mut rng)
+                    .decide(workload, &snapshot, &mut rng)
                     // lint:allow(panic-in-lib): training sweeps run on the paper testbeds, whose CPUs serve every workload
                     .expect("the paper testbeds always expose a feasible CPU action");
                 let outcome = sim
@@ -100,7 +100,7 @@ pub fn training_curve(
     for _ in 0..runs {
         let snapshot = env.sample(&mut rng);
         let step = engine
-            .decide(sim, workload, &snapshot, &mut rng)
+            .decide(workload, &snapshot, &mut rng)
             // lint:allow(panic-in-lib): training sweeps run on the paper testbeds, whose CPUs serve every workload
             .expect("the paper testbeds always expose a feasible CPU action");
         let outcome = sim
@@ -311,11 +311,7 @@ mod tests {
             1,
         );
         let step = engine
-            .decide_greedy(
-                &sim,
-                Workload::MobileNetV3,
-                &autoscale_sim::Snapshot::calm(),
-            )
+            .decide_greedy(Workload::MobileNetV3, &autoscale_sim::Snapshot::calm())
             .expect("feasible");
         assert!(sim.is_feasible(Workload::MobileNetV3, &step.request));
     }

@@ -56,7 +56,7 @@
 //! for _ in 0..50 {
 //!     let snapshot = env.sample(&mut rng);
 //!     let step = engine
-//!         .decide(&sim, Workload::MobileNetV3, &snapshot, &mut rng)
+//!         .decide(Workload::MobileNetV3, &snapshot, &mut rng)
 //!         .expect("the Mi8Pro CPU serves every workload");
 //!     let outcome = sim
 //!         .execute_measured(Workload::MobileNetV3, &step.request, &snapshot, &mut rng)

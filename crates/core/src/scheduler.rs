@@ -19,6 +19,7 @@ use autoscale_predictors::{
     BayesianOptimizer, KnnClassifier, LinearRegression, Mosaic, NeuroSurgeon, StandardScaler,
     SupportVectorRegression, SvmClassifier,
 };
+use autoscale_rl::MaskSet;
 use autoscale_sim::{Outcome, Placement, Request, Simulator, Snapshot};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -194,16 +195,16 @@ impl Scheduler for AutoScaleScheduler {
 
     fn decide(
         &mut self,
-        sim: &Simulator,
+        _sim: &Simulator,
         workload: Workload,
         snapshot: &Snapshot,
         rng: &mut StdRng,
     ) -> Decision {
         // lint:draws-exempt(eval mode draws nothing by design; training/eval streams are never digest-compared)
         let decided = if self.training {
-            self.engine.decide(sim, workload, snapshot, rng)
+            self.engine.decide(workload, snapshot, rng)
         } else {
-            self.engine.decide_greedy(sim, workload, snapshot)
+            self.engine.decide_greedy(workload, snapshot)
         };
         // The Scheduler trait is the evaluation harness's common surface
         // and stays infallible; the harness only drives the paper's
@@ -453,12 +454,12 @@ impl Scheduler for HybridScheduler {
         let state = self
             .engine_states
             .encode_observation(sim.network(workload), snapshot);
-        let mask = self.mask(sim, workload);
+        let mask = MaskSet::from_bools(&self.mask(sim, workload));
         // lint:draws-exempt(eval mode draws nothing by design; training/eval streams are never digest-compared)
         let action = if self.training {
             self.agent.select_action(state, &mask, rng)
         } else {
-            self.agent.select_greedy(state, &mask)
+            self.agent.select_greedy(state, mask.bools())
         }
         // lint:allow(panic-in-lib): the paper testbeds always expose a feasible CPU action
         .expect("the CPU can always run the model");

@@ -512,7 +512,7 @@ mod tests {
         for _ in 0..150 {
             let snapshot = env.sample(&mut rng);
             let step = donor
-                .decide(&mi8, Workload::MobileNetV1, &snapshot, &mut rng)
+                .decide(Workload::MobileNetV1, &snapshot, &mut rng)
                 .expect("feasible");
             let outcome = mi8
                 .execute_measured(Workload::MobileNetV1, &step.request, &snapshot, &mut rng)

@@ -56,10 +56,11 @@ OPTIONS:
     --list-rules            Print every rule with its description and exit
     --explain RULE|all      Print the long-form documentation for one rule
                             (or every rule) and exit
-    --check-baseline [PATH] Fail only on findings absent from the baseline
-                            (default path: results/lint_baseline.json);
-                            baseline entries no longer reported are listed
-                            as fixed
+    --check-baseline [PATH] Fail on findings absent from the baseline and
+                            on waived findings that differ from its
+                            suppressed list (default path:
+                            results/lint_baseline.json); baseline entries
+                            no longer reported are listed as fixed
     --write-baseline [PATH] Write this run's JSON report as the new
                             baseline (default path as above) and exit 0
     --report-out PATH       Additionally write the JSON report to PATH
@@ -73,7 +74,8 @@ OPTIONS:
     -h, --help              Show this help
 
 EXIT CODES:
-    0  clean (no unsuppressed findings / none beyond the baseline)
+    0  clean (no unsuppressed findings / none beyond the baseline and
+       no waiver drift)
     1  findings reported
     2  usage or I/O error
 
@@ -248,7 +250,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// The `--check-baseline` mode: new findings fail, fixed ones inform.
+/// The `--check-baseline` mode: new findings and any drift between the
+/// waived findings and the baseline's `suppressed` list fail; fixed
+/// findings inform.
 fn check_against_baseline(
     args: &Args,
     path: &std::path::Path,
@@ -288,16 +292,40 @@ fn check_against_baseline(
             e.file, e.line, e.rule
         );
     }
+    for f in &diff.unlisted_waivers {
+        println!(
+            "{}:{}: [{}] waived but not in the baseline's suppressed list",
+            f.file,
+            f.line,
+            f.rule.name()
+        );
+    }
+    for e in &diff.stale_waivers {
+        println!(
+            "{}:{}: [{}] in the baseline's suppressed list but no longer waived",
+            e.file, e.line, e.rule
+        );
+    }
     println!(
-        "autoscale-lint: {} new, {} fixed vs baseline {} ({} finding{} total, {} files)",
+        "autoscale-lint: {} new, {} fixed, {} unlisted and {} stale waivers vs baseline {} \
+         ({} finding{} total, {} waived, {} files)",
         diff.new.len(),
         diff.fixed.len(),
+        diff.unlisted_waivers.len(),
+        diff.stale_waivers.len(),
         path.display(),
         report.findings.len(),
         if report.findings.len() == 1 { "" } else { "s" },
+        report.suppressed.len(),
         report.files_scanned,
     );
-    if diff.new.is_empty() {
+    if !diff.unlisted_waivers.is_empty() || !diff.stale_waivers.is_empty() {
+        println!(
+            "autoscale-lint: the waiver inventory drifted — review it, then regenerate \
+             the baseline with --write-baseline"
+        );
+    }
+    if diff.passes() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -210,8 +210,8 @@ impl Report {
     /// JSON rendering with stable field and entry order.
     ///
     /// `findings` comes first and `suppressed` second — baseline
-    /// parsing relies on that order to take entries only from the
-    /// former (see [`parse_baseline`]).
+    /// parsing relies on that order to tell the two lists apart (see
+    /// [`parse_baseline`]).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n  \"findings\": [");
         render_finding_array(&mut out, &self.findings);
@@ -303,6 +303,17 @@ impl BaselineEntry {
     }
 }
 
+/// A committed baseline: the accepted findings and the inventory of
+/// waived ones.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Baseline {
+    /// Entries of the `findings` list.
+    pub findings: Vec<BaselineEntry>,
+    /// Entries of the `suppressed` list: every finding a waiver
+    /// comment silenced when the baseline was written.
+    pub suppressed: Vec<BaselineEntry>,
+}
+
 /// The comparison of a fresh run against a committed baseline.
 #[derive(Debug, Clone)]
 pub struct BaselineDiff {
@@ -311,10 +322,24 @@ pub struct BaselineDiff {
     /// Baseline entries no longer reported — fixed (or moved); they
     /// never fail the run, but the baseline should be regenerated.
     pub fixed: Vec<BaselineEntry>,
+    /// Waived findings the baseline's `suppressed` list does not name —
+    /// a new (or moved) waiver; these fail the run.
+    pub unlisted_waivers: Vec<Finding>,
+    /// `suppressed` entries this run no longer waives — the inventory
+    /// is stale; these fail the run.
+    pub stale_waivers: Vec<BaselineEntry>,
+}
+
+impl BaselineDiff {
+    /// Whether the run matches the baseline: no new findings and no
+    /// drift in the waiver inventory.
+    pub fn passes(&self) -> bool {
+        self.new.is_empty() && self.unlisted_waivers.is_empty() && self.stale_waivers.is_empty()
+    }
 }
 
 /// Parses the analyzer's own JSON format (see [`Report::render_json`])
-/// back into baseline entries. This is not a general JSON parser: it
+/// back into a [`Baseline`]. This is not a general JSON parser: it
 /// reads the one-object-per-line layout this crate writes, which is
 /// exactly what a committed `results/lint_baseline.json` contains.
 ///
@@ -322,17 +347,18 @@ pub struct BaselineDiff {
 ///
 /// Returns a message when the document has no `"findings"` key or an
 /// entry line is missing one of `file`/`line`/`rule`.
-pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
+pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     if !text.contains("\"findings\"") {
         return Err("not a lint report: no \"findings\" key".to_string());
     }
-    let mut entries = Vec::new();
+    let mut baseline = Baseline::default();
+    // Entry lines after the `"suppressed"` key describe waived findings.
+    let mut in_suppressed = false;
     for line in text.lines() {
         let line = line.trim();
-        // Entry lines after the `"suppressed"` key describe waived
-        // findings; those never belong in a baseline.
         if line.starts_with("\"suppressed\"") {
-            break;
+            in_suppressed = true;
+            continue;
         }
         let Some(rest) = line.strip_prefix('{') else {
             continue;
@@ -346,15 +372,22 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
             .ok_or_else(|| format!("baseline entry without a line: {line}"))?;
         let rule = json_str_field(line, "rule")
             .ok_or_else(|| format!("baseline entry without a rule: {line}"))?;
-        entries.push(BaselineEntry {
+        let list = if in_suppressed {
+            &mut baseline.suppressed
+        } else {
+            &mut baseline.findings
+        };
+        list.push(BaselineEntry {
             file,
             line: lineno,
             rule,
         });
     }
-    entries.sort();
-    entries.dedup();
-    Ok(entries)
+    for list in [&mut baseline.findings, &mut baseline.suppressed] {
+        list.sort();
+        list.dedup();
+    }
+    Ok(baseline)
 }
 
 /// Extracts `"key": "value"` from a single-line JSON object, undoing
@@ -397,26 +430,45 @@ fn json_num_field(line: &str, key: &str) -> Option<u32> {
 
 impl Report {
     /// Splits this run's findings against a baseline: what is new
-    /// (fails) and what the baseline lists but the run no longer
-    /// reports (fixed).
-    pub fn against_baseline(&self, baseline: &[BaselineEntry]) -> BaselineDiff {
+    /// (fails), what the baseline lists but the run no longer reports
+    /// (fixed), and how the waived findings drifted from the baseline's
+    /// `suppressed` inventory (fails either way).
+    pub fn against_baseline(&self, baseline: &Baseline) -> BaselineDiff {
         let current: Vec<BaselineEntry> = self.findings.iter().map(BaselineEntry::of).collect();
         let waived: Vec<BaselineEntry> = self.suppressed.iter().map(BaselineEntry::of).collect();
         let new = self
             .findings
             .iter()
-            .filter(|f| !baseline.contains(&BaselineEntry::of(f)))
+            .filter(|f| !baseline.findings.contains(&BaselineEntry::of(f)))
             .cloned()
             .collect();
         // A baseline entry that is now *suppressed* was silenced, not
         // fixed — claiming it fixed would invite a baseline regen that
         // hides the waiver.
         let fixed = baseline
+            .findings
             .iter()
             .filter(|e| !current.contains(e) && !waived.contains(e))
             .cloned()
             .collect();
-        BaselineDiff { new, fixed }
+        let unlisted_waivers = self
+            .suppressed
+            .iter()
+            .filter(|f| !baseline.suppressed.contains(&BaselineEntry::of(f)))
+            .cloned()
+            .collect();
+        let stale_waivers = baseline
+            .suppressed
+            .iter()
+            .filter(|e| !waived.contains(e))
+            .cloned()
+            .collect();
+        BaselineDiff {
+            new,
+            fixed,
+            unlisted_waivers,
+            stale_waivers,
+        }
     }
 }
 
@@ -492,15 +544,17 @@ mod tests {
             ],
             3,
         );
-        let entries = parse_baseline(&report.render_json()).expect("own JSON parses");
+        let baseline = parse_baseline(&report.render_json()).expect("own JSON parses");
+        let entries = &baseline.findings;
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].file, "a.rs");
         assert_eq!(entries[0].line, 2);
         assert_eq!(entries[0].rule, "unit-mismatch");
         // A full round trip is a no-op diff.
-        let diff = report.against_baseline(&entries);
+        let diff = report.against_baseline(&baseline);
         assert!(diff.new.is_empty());
         assert!(diff.fixed.is_empty());
+        assert!(diff.passes());
     }
 
     #[test]
@@ -535,7 +589,7 @@ mod tests {
         let clean = Report::new(Vec::new(), 1);
         assert_eq!(
             parse_baseline(&clean.render_json()).expect("parses"),
-            vec![]
+            Baseline::default()
         );
     }
 
@@ -547,9 +601,63 @@ mod tests {
             3,
             AnalysisStats::default(),
         );
-        let entries = parse_baseline(&report.render_json()).expect("parses");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].file, "a.rs");
+        let baseline = parse_baseline(&report.render_json()).expect("parses");
+        assert_eq!(baseline.findings.len(), 1);
+        assert_eq!(baseline.findings[0].file, "a.rs");
+        assert_eq!(baseline.suppressed.len(), 1);
+        assert_eq!(baseline.suppressed[0].file, "waived.rs");
+    }
+
+    #[test]
+    fn a_waiver_missing_from_the_baseline_fails_the_check() {
+        let old = Report::with_details(
+            Vec::new(),
+            vec![finding("waived.rs", 9, Rule::HotPathAlloc)],
+            1,
+            AnalysisStats::default(),
+        );
+        let baseline = parse_baseline(&old.render_json()).expect("parses");
+        let now = Report::with_details(
+            Vec::new(),
+            vec![
+                finding("waived.rs", 9, Rule::HotPathAlloc),
+                finding("fresh.rs", 4, Rule::PanicInLib),
+            ],
+            1,
+            AnalysisStats::default(),
+        );
+        let diff = now.against_baseline(&baseline);
+        assert!(diff.new.is_empty(), "a waived finding is not a new finding");
+        assert_eq!(diff.unlisted_waivers.len(), 1);
+        assert_eq!(diff.unlisted_waivers[0].file, "fresh.rs");
+        assert!(diff.stale_waivers.is_empty());
+        assert!(!diff.passes());
+    }
+
+    #[test]
+    fn a_stale_baseline_waiver_fails_the_check() {
+        let old = Report::with_details(
+            Vec::new(),
+            vec![
+                finding("waived.rs", 9, Rule::HotPathAlloc),
+                finding("gone.rs", 3, Rule::PanicInLib),
+            ],
+            1,
+            AnalysisStats::default(),
+        );
+        let baseline = parse_baseline(&old.render_json()).expect("parses");
+        let now = Report::with_details(
+            Vec::new(),
+            vec![finding("waived.rs", 9, Rule::HotPathAlloc)],
+            1,
+            AnalysisStats::default(),
+        );
+        let diff = now.against_baseline(&baseline);
+        assert!(diff.new.is_empty() && diff.fixed.is_empty());
+        assert!(diff.unlisted_waivers.is_empty());
+        assert_eq!(diff.stale_waivers.len(), 1);
+        assert_eq!(diff.stale_waivers[0].file, "gone.rs");
+        assert!(!diff.passes());
     }
 
     #[test]
@@ -611,9 +719,9 @@ mod tests {
         assert!(json.contains("\"total_ms\": 12.25"));
         assert!(report.render_human().contains("total 12.2 ms"));
         // A timings section must not confuse the baseline parser.
-        let entries = parse_baseline(&json).expect("parses with timings present");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].file, "a.rs");
+        let baseline = parse_baseline(&json).expect("parses with timings present");
+        assert_eq!(baseline.findings.len(), 1);
+        assert_eq!(baseline.findings[0].file, "a.rs");
     }
 
     #[test]

@@ -227,11 +227,12 @@ fn an_allocation_three_calls_below_the_decision_kernel_is_caught() {
 }
 
 #[test]
-fn an_allocation_in_the_serving_kernel_argmax_is_caught() {
-    // The serving kernel is a plain type with inherent methods, so the
-    // hot-path pass reaches `ScalarKernel::argmax` only through its
-    // callers (`AutoScaleEngine::decide_kernel` -> `ScalarKernel::select`).
-    // An allocation added to the argmax body must still be flagged.
+fn an_allocation_in_the_decision_kernel_exploit_arm_is_caught() {
+    // The decision kernel is a plain type with inherent methods, so the
+    // hot-path pass reaches `ScalarKernel::select` only through its
+    // callers (`AutoScaleEngine::decide_kernel` -> the engine's private
+    // decision body -> `ScalarKernel::select`). An allocation added to
+    // the exploit arm must still be flagged.
     let root = workspace_root();
     let mut sources = autoscale_lint::read_workspace_sources(&root).expect("workspace is readable");
     let target = "crates/rl/src/kernel.rs";
@@ -252,7 +253,7 @@ fn an_allocation_in_the_serving_kernel_argmax_is_caught() {
     });
     assert!(
         hit,
-        "an allocation in ScalarKernel::argmax must be flagged as hot-path-alloc with a \
+        "an allocation in ScalarKernel::select's exploit arm must be flagged as hot-path-alloc with a \
          decide_kernel witness; findings:\n{}",
         analysis.report.render_human()
     );

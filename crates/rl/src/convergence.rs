@@ -9,6 +9,9 @@
 //! exploratory pick of a terrible target (hundreds of mJ against a
 //! tens-of-mJ optimum) would swing a window mean by double-digit
 //! percentages long after the policy has settled.
+//!
+//! Only the current window is kept: memory is O(window) however long
+//! the session runs.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +22,10 @@ pub struct ConvergenceDetector {
     tolerance: f64,
     patience: usize,
     min_observations: usize,
-    rewards: Vec<f64>,
+    /// The rewards of the window in progress; cleared at every multiple
+    /// of `window` observations.
+    recent: Vec<f64>,
+    observations: usize,
     stable_windows: usize,
     last_level: Option<f64>,
     converged_at: Option<usize>,
@@ -45,7 +51,8 @@ impl ConvergenceDetector {
             tolerance,
             patience,
             min_observations: 0,
-            rewards: Vec::new(),
+            recent: Vec::with_capacity(window),
+            observations: 0,
             stable_windows: 0,
             last_level: None,
             converged_at: None,
@@ -76,30 +83,30 @@ impl ConvergenceDetector {
 
     /// Feeds one reward observation; returns `true` once converged.
     pub fn observe(&mut self, reward: f64) -> bool {
-        // lint:hot-exempt(reward history: one amortized push per decision, read back by the convergence window)
-        self.rewards.push(reward);
+        self.observations += 1;
         if self.converged_at.is_some() {
             return true;
         }
-        if self.rewards.len() < self.min_observations {
-            return false;
-        }
-        if self.rewards.len().is_multiple_of(self.window) {
-            let start = self.rewards.len() - self.window;
-            let level = median(&self.rewards[start..]);
-            if let Some(prev) = self.last_level {
-                let scale = prev.abs().max(1e-9);
-                let change = (level - prev).abs() / scale;
-                if change < self.tolerance {
-                    self.stable_windows += 1;
-                    if self.stable_windows >= self.patience {
-                        self.converged_at = Some(self.rewards.len());
+        // lint:hot-exempt(window buffer: capacity reserved at construction, cleared every window, so the push never reallocates)
+        self.recent.push(reward);
+        if self.recent.len() == self.window {
+            if self.observations >= self.min_observations {
+                let level = median(&mut self.recent);
+                if let Some(prev) = self.last_level {
+                    let scale = prev.abs().max(1e-9);
+                    let change = (level - prev).abs() / scale;
+                    if change < self.tolerance {
+                        self.stable_windows += 1;
+                        if self.stable_windows >= self.patience {
+                            self.converged_at = Some(self.observations);
+                        }
+                    } else {
+                        self.stable_windows = 0;
                     }
-                } else {
-                    self.stable_windows = 0;
                 }
+                self.last_level = Some(level);
             }
-            self.last_level = Some(level);
+            self.recent.clear();
         }
         self.converged_at.is_some()
     }
@@ -116,30 +123,24 @@ impl ConvergenceDetector {
 
     /// Number of rewards observed so far.
     pub fn observations(&self) -> usize {
-        self.rewards.len()
+        self.observations
     }
 
     /// Median of the most recent full window, if one has completed.
     pub fn recent_level(&self) -> Option<f64> {
         self.last_level
     }
-
-    /// The full reward history (for plotting training curves, Fig. 14).
-    pub fn history(&self) -> &[f64] {
-        &self.rewards
-    }
 }
 
-/// Median of a non-empty slice.
-fn median(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec(); // lint:hot-exempt(median copies the bounded convergence window, not the full history)
-                                      // lint:allow(panic-in-lib): eq. (5) rewards are finite
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite rewards")); // lint:hot-exempt(stable sort of the bounded window copy made above)
-    let n = sorted.len();
+/// Median of a non-empty slice, sorting it in place.
+fn median(values: &mut [f64]) -> f64 {
+    // lint:allow(panic-in-lib): eq. (5) rewards are finite
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite rewards")); // lint:hot-exempt(stable in-place sort of the bounded window; no allocation at window sizes)
+    let n = values.len();
     if n % 2 == 1 {
-        sorted[n / 2]
+        values[n / 2]
     } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
     }
 }
 
@@ -203,17 +204,16 @@ mod tests {
 
     #[test]
     fn median_helper() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [1.0, 2.0, 3.0, 4.0]), 2.5);
     }
 
     #[test]
-    fn history_is_retained() {
+    fn observations_are_counted() {
         let mut d = ConvergenceDetector::paper();
         for i in 0..7 {
             d.observe(i as f64);
         }
-        assert_eq!(d.history().len(), 7);
         assert_eq!(d.observations(), 7);
         assert_eq!(d.recent_level(), None); // no full window of 10 yet
     }

@@ -15,17 +15,17 @@
 //! * [`QStore`] — tiered Q-value storage: the dense table, or a
 //!   [`CowQTable`] copy-on-write overlay over a shared `Arc`'d base —
 //!   bit-identical reads, ~20x+ lower per-session memory at fleet scale;
-//! * [`EpsilonGreedy`] — the exploration policy;
+//! * [`EpsilonGreedy`] — the exploration policy's ε;
+//! * [`ScalarKernel`] — Algorithm 1's one action-selection step: the
+//!   epsilon-greedy draw over a precomputed [`MaskSet`], exploiting
+//!   through the Q-table's argmax cache. The agent and every engine
+//!   decision go through it;
 //! * [`QLearningAgent`] — Algorithm 1 of the paper: observe, select, act,
 //!   reward, bootstrap, update;
 //! * [`Dbscan`] / [`Discretizer`] — the 1-D DBSCAN clustering the paper
 //!   uses to discretize continuous state features into the Table I buckets;
 //! * [`ConvergenceDetector`] — detects reward convergence (the paper's
 //!   Fig. 14 reports convergence within 40–50 inference runs);
-//! * [`ScalarKernel`] — the serving decision kernel: the epsilon-greedy
-//!   draw protocol over a precomputed [`MaskSet`], answered from the
-//!   Q-table's argmax cache, decision-for-decision identical to
-//!   [`EpsilonGreedy`];
 //! * [`LinearQAgent`] — a linear function-approximation alternative, kept
 //!   as the measurable stand-in for the deep-RL family the paper rejects
 //!   on latency grounds.
@@ -33,14 +33,14 @@
 //! # Example
 //!
 //! ```
-//! use autoscale_rl::{Hyperparameters, QLearningAgent};
+//! use autoscale_rl::{Hyperparameters, MaskSet, QLearningAgent};
 //! use rand::SeedableRng;
 //!
 //! let mut agent = QLearningAgent::new(4, 3, Hyperparameters::paper(), 7);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let mask = vec![true; 3];
+//! let mask = MaskSet::from_bools(&[true; 3]);
 //! let a = agent.select_action(0, &mask, &mut rng).expect("mask allows actions");
-//! agent.update(0, a, 1.0, 1, &mask);
+//! agent.update(0, a, 1.0, 1, mask.bools());
 //! assert!(agent.store().get(0, a).is_finite());
 //! ```
 

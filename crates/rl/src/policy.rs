@@ -6,14 +6,15 @@
 //! get slower. To solve this problem, we employ the epsilon-greedy
 //! algorithm [...] for its effectiveness and simplicity." The paper uses
 //! ε = 0.1, following prior RL work in this domain.
+//!
+//! [`EpsilonGreedy`] holds an agent's ε (and serializes as the agent
+//! file's `"policy": {"epsilon": …}`); the draw protocol lives in
+//! [`crate::kernel`].
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::qstore::QStore;
-
-/// An epsilon-greedy action-selection policy.
+/// An epsilon-greedy policy's state: its exploration probability. The
+/// draw itself is [`crate::ScalarKernel::select`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpsilonGreedy {
     epsilon: f64,
@@ -47,48 +48,6 @@ impl EpsilonGreedy {
     pub fn epsilon(&self) -> f64 {
         self.epsilon
     }
-
-    /// Chooses an action for `state`: with probability ε a uniformly random
-    /// allowed action (exploration), otherwise the allowed action with the
-    /// largest Q value (exploitation).
-    ///
-    /// Returns `None` if the mask allows no action.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len()` differs from the table's action count.
-    pub fn choose(
-        &self,
-        q: &QStore,
-        state: usize,
-        mask: &[bool],
-        rng: &mut StdRng,
-    ) -> Option<usize> {
-        assert_eq!(
-            mask.len(),
-            q.actions(),
-            "mask length must equal action count"
-        );
-        // Allocation-free: the serving hot path calls this per decision,
-        // so the allowed set is counted and indexed through the mask
-        // instead of materializing a Vec. The RNG draw order (one f64,
-        // then one bounded range) matches the original Vec-based
-        // implementation, keeping trained traces bit-identical.
-        let allowed = mask.iter().filter(|&&m| m).count();
-        if allowed == 0 {
-            return None;
-        }
-        // lint:draws-exempt(the pinned epsilon-greedy protocol: one uniform draw per decision, one bounded draw on the exploration arm only; digest tests freeze it)
-        if rng.gen::<f64>() < self.epsilon {
-            let k = rng.gen_range(0..allowed);
-            mask.iter()
-                .enumerate()
-                .filter_map(|(a, &m)| m.then_some(a))
-                .nth(k)
-        } else {
-            q.best_action(state, mask).map(|(a, _)| a)
-        }
-    }
 }
 
 impl Default for EpsilonGreedy {
@@ -100,59 +59,6 @@ impl Default for EpsilonGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qtable::QTable;
-    use rand::SeedableRng;
-
-    fn table() -> QStore {
-        let mut q = QTable::new_zeroed(1, 4);
-        q.set(0, 2, 10.0);
-        QStore::Dense(q)
-    }
-
-    #[test]
-    fn greedy_always_picks_the_best() {
-        let q = table();
-        let policy = EpsilonGreedy::greedy();
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..100 {
-            assert_eq!(policy.choose(&q, 0, &[true; 4], &mut rng), Some(2));
-        }
-    }
-
-    #[test]
-    fn exploration_rate_is_close_to_epsilon() {
-        let q = table();
-        let policy = EpsilonGreedy::new(0.3);
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = 20_000;
-        let non_greedy = (0..n)
-            .filter(|_| policy.choose(&q, 0, &[true; 4], &mut rng) != Some(2))
-            .count();
-        // Exploration picks uniformly among 4 actions, so 3/4 of explored
-        // steps deviate from the greedy choice: expect 0.3 * 0.75 = 0.225.
-        let rate = non_greedy as f64 / n as f64;
-        assert!((rate - 0.225).abs() < 0.02, "rate={rate}");
-    }
-
-    #[test]
-    fn masked_actions_are_never_selected() {
-        let q = table();
-        let policy = EpsilonGreedy::new(1.0); // always explore
-        let mut rng = StdRng::seed_from_u64(2);
-        let mask = [true, false, false, true];
-        for _ in 0..200 {
-            let a = policy.choose(&q, 0, &mask, &mut rng).unwrap();
-            assert!(mask[a]);
-        }
-    }
-
-    #[test]
-    fn empty_mask_yields_none() {
-        let q = table();
-        let policy = EpsilonGreedy::paper();
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(policy.choose(&q, 0, &[false; 4], &mut rng), None);
-    }
 
     #[test]
     fn default_is_paper_epsilon() {

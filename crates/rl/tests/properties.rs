@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use autoscale_rl::{
-    ConvergenceDetector, CowQTable, Dbscan, EpsilonGreedy, Hyperparameters, MaskSet,
-    QLearningAgent, QStore, QTable, ScalarKernel,
+    ConvergenceDetector, CowQTable, Dbscan, Hyperparameters, MaskSet, QLearningAgent, QStore,
+    QTable, ScalarKernel,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -73,13 +73,13 @@ proptest! {
         let params = Hyperparameters::paper();
         let mut agent = QLearningAgent::new(1, k, params, seed);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(1));
-        let mask = vec![true; k];
+        let mask = MaskSet::from_bools(&vec![true; k]);
         // Rewards: action i pays -(i as f64) * 10; action 0 is best.
         for _ in 0..k * 30 {
             let a = agent.select_action(0, &mask, &mut rng).expect("mask allows all");
-            agent.update(0, a, -(a as f64) * 10.0, 0, &mask);
+            agent.update(0, a, -(a as f64) * 10.0, 0, mask.bools());
         }
-        prop_assert_eq!(agent.select_greedy(0, &mask), Some(0));
+        prop_assert_eq!(agent.select_greedy(0, mask.bools()), Some(0));
     }
 
     /// The epsilon-greedy policy degenerates correctly at the extremes.
@@ -88,18 +88,16 @@ proptest! {
         let mut q = QTable::new_zeroed(1, n);
         q.set(0, n - 1, 1.0);
         let q = QStore::Dense(q);
-        let mask = vec![true; n];
+        let mask = MaskSet::from_bools(&vec![true; n]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         // epsilon = 0: always the argmax.
-        let greedy = EpsilonGreedy::greedy();
         for _ in 0..10 {
-            prop_assert_eq!(greedy.choose(&q, 0, &mask, &mut rng), Some(n - 1));
+            prop_assert_eq!(ScalarKernel.select(&q, 0, &mask, 0.0, &mut rng), Some(n - 1));
         }
         // epsilon = 1: everything gets sampled eventually.
-        let explore = EpsilonGreedy::new(1.0);
         let mut seen = vec![false; n];
         for _ in 0..400 {
-            seen[explore.choose(&q, 0, &mask, &mut rng).expect("non-empty")] = true;
+            seen[ScalarKernel.select(&q, 0, &mask, 1.0, &mut rng).expect("non-empty")] = true;
         }
         prop_assert!(seen.iter().all(|&s| s));
     }
@@ -134,6 +132,37 @@ proptest! {
         }
         if let Some(at) = d.converged_at() {
             prop_assert!(at <= d.observations());
+        }
+    }
+
+    /// The windowed detector reports exactly what a detector keeping the
+    /// whole reward history reports, after every observation.
+    #[test]
+    fn windowed_detector_matches_the_full_history_reference(
+        // Three in four rewards come from a plateau-like set, so streams
+        // converge as well as wander.
+        rewards in prop::collection::vec(
+            (
+                prop::sample::select(vec![true, true, true, false]),
+                prop::sample::select(vec![-20.0, -20.0, -20.5, -400.0, 0.0]),
+                -1e3..1e3f64,
+            )
+                .prop_map(|(plateau, level, wild)| if plateau { level } else { wild }),
+            0..300,
+        ),
+        window in 1usize..13,
+        tolerance in prop::sample::select(vec![0.01, 0.05, 0.1, 0.5, 2.0]),
+        patience in 1usize..5,
+        min_observations in 0usize..70,
+    ) {
+        let reference = full_history_reference(&rewards, window, tolerance, patience, min_observations);
+        let mut d = ConvergenceDetector::new(window, tolerance, patience)
+            .with_min_observations(min_observations);
+        for (n, (&r, &(converged_at, level))) in rewards.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(d.observe(r), converged_at.is_some());
+            prop_assert_eq!(d.converged_at(), converged_at);
+            prop_assert_eq!(d.recent_level().map(f64::to_bits), level.map(f64::to_bits));
+            prop_assert_eq!(d.observations(), n + 1);
         }
     }
 
@@ -289,4 +318,42 @@ proptest! {
         tampered.base_digest ^= 1;
         prop_assert!(CowQTable::from_snapshot(base, &tampered).is_err());
     }
+}
+
+/// The convergence rule over the whole reward history, as the detector
+/// applied it before it kept only the current window: `(converged_at,
+/// recent_level)` after each observation.
+fn full_history_reference(
+    rewards: &[f64],
+    window: usize,
+    tolerance: f64,
+    patience: usize,
+    min_observations: usize,
+) -> Vec<(Option<usize>, Option<f64>)> {
+    let (mut stable, mut last, mut at) = (0, None::<f64>, None);
+    (1..=rewards.len())
+        .map(|n| {
+            if at.is_none() && n >= min_observations && n % window == 0 {
+                let mut w = rewards[n - window..n].to_vec();
+                w.sort_by(|a, b| a.partial_cmp(b).expect("finite rewards"));
+                let level = if window % 2 == 1 {
+                    w[window / 2]
+                } else {
+                    (w[window / 2 - 1] + w[window / 2]) / 2.0
+                };
+                if let Some(prev) = last {
+                    if (level - prev).abs() / prev.abs().max(1e-9) < tolerance {
+                        stable += 1;
+                        if stable >= patience {
+                            at = Some(n);
+                        }
+                    } else {
+                        stable = 0;
+                    }
+                }
+                last = Some(level);
+            }
+            (at, last)
+        })
+        .collect()
 }

@@ -101,7 +101,7 @@ fn main() {
         let mut rng = autoscale::seeded_rng(4);
         let snapshot = environment.sample(&mut rng);
         let step = engine
-            .decide_greedy(&sim, Workload::MobileNetV1, &snapshot)
+            .decide_greedy(Workload::MobileNetV1, &snapshot)
             .expect("the CPU serves every workload");
         let outcome = sim
             .execute_expected(Workload::MobileNetV1, &step.request, &snapshot)

@@ -33,7 +33,7 @@ fn main() {
     for run in 0.. {
         let snapshot = env.sample(&mut rng);
         let step = engine
-            .decide(&sim, workload, &snapshot, &mut rng)
+            .decide(workload, &snapshot, &mut rng)
             .expect("the CPU serves every workload");
         let outcome = sim
             .execute_measured(workload, &step.request, &snapshot, &mut rng)
@@ -53,7 +53,7 @@ fn main() {
     //    that always runs on the mobile CPU at FP32.
     let snapshot = Snapshot::calm();
     let step = engine
-        .decide_greedy(&sim, workload, &snapshot)
+        .decide_greedy(workload, &snapshot)
         .expect("the CPU serves every workload");
     let chosen = sim
         .execute_expected(workload, &step.request, &snapshot)

@@ -85,7 +85,7 @@ fn main() {
         let mut rng = autoscale::seeded_rng(9);
         let snapshot = environment.sample(&mut rng);
         let step = engine
-            .decide_greedy(&sim, workload, &snapshot)
+            .decide_greedy(workload, &snapshot)
             .expect("the CPU serves every workload");
         let outcome = sim
             .execute_expected(workload, &step.request, &snapshot)

@@ -17,9 +17,7 @@ fn full_loop_trains_and_serves_every_workload_on_every_phone() {
         for w in Workload::ALL {
             for _ in 0..5 {
                 let snapshot = env.sample(&mut rng);
-                let step = engine
-                    .decide(&sim, w, &snapshot, &mut rng)
-                    .expect("feasible");
+                let step = engine.decide(w, &snapshot, &mut rng).expect("feasible");
                 let outcome = sim
                     .execute_measured(w, &step.request, &snapshot, &mut rng)
                     .expect("engine decisions are feasible");
@@ -28,7 +26,7 @@ fn full_loop_trains_and_serves_every_workload_on_every_phone() {
             }
             // Greedy serving must produce a feasible request.
             let step = engine
-                .decide_greedy(&sim, w, &Snapshot::calm())
+                .decide_greedy(w, &Snapshot::calm())
                 .expect("feasible");
             assert!(sim.is_feasible(w, &step.request), "{device:?} {w}");
         }
@@ -58,11 +56,11 @@ fn trained_agent_round_trips_through_serde() {
     warm.transfer_from(&engine).expect("same shape");
     let snapshot = Snapshot::calm();
     assert_eq!(
-        warm.decide_greedy(&sim, Workload::InceptionV1, &snapshot)
+        warm.decide_greedy(Workload::InceptionV1, &snapshot)
             .expect("feasible")
             .action_index,
         engine
-            .decide_greedy(&sim, Workload::InceptionV1, &snapshot)
+            .decide_greedy(Workload::InceptionV1, &snapshot)
             .expect("feasible")
             .action_index
     );

@@ -4,8 +4,7 @@ use autoscale::prelude::*;
 use autoscale::state::State;
 use autoscale_net::Rssi;
 use autoscale_rl::{
-    EpsilonGreedy, Hyperparameters, MaskSet, QLearningAgent, QStore, QStoreKind, QTable,
-    ScalarKernel,
+    Hyperparameters, MaskSet, QLearningAgent, QStore, QStoreKind, QTable, ScalarKernel,
 };
 use autoscale_sim::{ArrivalSampler, ChurnWindow};
 use proptest::prelude::*;
@@ -154,10 +153,10 @@ proptest! {
     fn policy_respects_masks(mask in prop::collection::vec(any::<bool>(), 5), seed in any::<u64>()) {
         prop_assume!(mask.iter().any(|&m| m));
         let q = QStore::Dense(QTable::new_random(1, 5, seed));
-        let policy = autoscale_rl::EpsilonGreedy::new(0.5);
+        let mask_set = MaskSet::from_bools(&mask);
         let mut rng = autoscale::seeded_rng(seed);
         for _ in 0..20 {
-            let a = policy.choose(&q, 0, &mask, &mut rng).expect("mask non-empty");
+            let a = ScalarKernel.select(&q, 0, &mask_set, 0.5, &mut rng).expect("mask non-empty");
             prop_assert!(mask[a]);
         }
     }
@@ -187,34 +186,6 @@ fn table_from(states: usize, actions: usize, values: &[f64]) -> QStore {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The serving kernel is decision-for-decision AND draw-for-draw
-    /// identical to the offline reference policy, `EpsilonGreedy::choose`
-    /// on the same `&[bool]` mask, for arbitrary Q-values, masks
-    /// (including all-masked) and epsilon values. The RNG-state equality
-    /// is the stronger half: a kernel that picked the same action while
-    /// drawing differently would silently desynchronize every later
-    /// decision of a session.
-    #[test]
-    fn kernels_agree_with_the_scalar_reference(
-        values in prop::collection::vec(-100.0..100.0f64, 2 * 66),
-        mask in prop::collection::vec(any::<bool>(), 66),
-        epsilon in prop::sample::select(vec![0.0, 0.1, 0.5, 1.0]),
-        seed in any::<u64>(),
-        state in 0usize..2,
-    ) {
-        let q = table_from(2, 66, &values);
-        let mut reference_rng = autoscale::seeded_rng(seed);
-        let reference = EpsilonGreedy::new(epsilon).choose(&q, state, &mask, &mut reference_rng);
-        match reference {
-            Some(a) => prop_assert!(mask[a], "the reference picked a masked action"),
-            None => prop_assert!(mask.iter().all(|&m| !m), "None only on an empty mask"),
-        }
-        let mut rng = autoscale::seeded_rng(seed);
-        let picked = ScalarKernel.select(&q, state, &MaskSet::from_bools(&mask), epsilon, &mut rng);
-        prop_assert_eq!(picked, reference);
-        prop_assert!(rng == reference_rng, "the kernel perturbed the draw stream");
-    }
 
     /// Tie-heavy rows (three distinct values over 66 actions) resolve to
     /// the lowest allowed index of the maximum.
