@@ -329,11 +329,12 @@ impl AutoScaleEngine {
     ) -> Result<DecisionStep, NoFeasibleActionError> {
         let ctx = &self.contexts[workload.index()];
         let state_index = ctx.state_base + self.states.runtime_index(snapshot);
-        let q = self.agent.store();
         // lint:draws-exempt(the greedy arm draws nothing by design; callers pick one arm per stream and digest tests pin each protocol)
         let action_index = match draw {
-            Some((epsilon, rng)) => ScalarKernel.select(q, state_index, &ctx.mask, epsilon, rng),
-            None => q.best_action(state_index, ctx.mask.bools()).map(|(a, _)| a),
+            Some((epsilon, rng)) => {
+                ScalarKernel.select(self.agent.store(), state_index, &ctx.mask, epsilon, rng)
+            }
+            None => self.agent.select_greedy(state_index, ctx.mask.bools()),
         }
         .ok_or(NoFeasibleActionError { workload })?;
         Ok(DecisionStep {
