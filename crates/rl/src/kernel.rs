@@ -49,11 +49,15 @@ pub struct MaskSet {
 impl MaskSet {
     /// Builds both views of a `&[bool]` feasibility mask.
     pub fn from_bools(mask: &[bool]) -> Self {
+        let mut allowed = Vec::with_capacity(mask.len());
+        for (i, &allow) in mask.iter().enumerate() {
+            if allow {
+                allowed.push(i as u32);
+            }
+        }
         MaskSet {
             bools: mask.to_vec(),
-            allowed: (0..mask.len() as u32)
-                .filter(|&i| mask[i as usize])
-                .collect(),
+            allowed,
         }
     }
 
