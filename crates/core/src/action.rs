@@ -136,7 +136,7 @@ impl ActionSpace {
     /// `i` can execute that workload (e.g. DSP actions are masked out for
     /// MobileBERT).
     pub fn mask(&self, sim: &Simulator, workload: Workload) -> Vec<bool> {
-        // lint:hot-exempt(per-decision mask of a handful of bools, built only by the evaluation-only schedulers; the engine precomputes its masks)
+        // lint:hot-exempt(a handful of bools per call: engine construction and the evaluation-only schedulers; engine decisions read the precomputed masks)
         self.actions
             .iter()
             .map(|r| sim.is_feasible(workload, r))

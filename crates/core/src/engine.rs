@@ -301,8 +301,8 @@ impl AutoScaleEngine {
         self.step_for(workload, snapshot, None)
     }
 
-    /// [`AutoScaleEngine::decide`] under the name the serving replay
-    /// calls; `ScalarKernel` is the one decision kernel.
+    /// [`AutoScaleEngine::decide`] under the name serving sessions and
+    /// the benchmark replay call; `ScalarKernel` is the one kernel.
     // Kept last of the `decide*` entry points: the linter attributes the
     // shared body to the last one, which its golden test expects.
     pub fn decide_kernel(

@@ -87,7 +87,7 @@ impl ConvergenceDetector {
         if self.converged_at.is_some() {
             return true;
         }
-        // lint:hot-exempt(window buffer: capacity reserved at construction, cleared every window, so the push never reallocates)
+        // lint:hot-exempt(window buffer: cleared every window, so it never holds more than `window` rewards)
         self.recent.push(reward);
         if self.recent.len() == self.window {
             if self.observations >= self.min_observations {
@@ -135,7 +135,7 @@ impl ConvergenceDetector {
 /// Median of a non-empty slice, sorting it in place.
 fn median(values: &mut [f64]) -> f64 {
     // lint:allow(panic-in-lib): eq. (5) rewards are finite
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite rewards")); // lint:hot-exempt(stable in-place sort of the bounded window; no allocation at window sizes)
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite rewards")); // lint:hot-exempt(in-place sort of the bounded window)
     let n = values.len();
     if n % 2 == 1 {
         values[n / 2]
